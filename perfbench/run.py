@@ -7,8 +7,10 @@ Run from the root of a checkout:
 One process, one client, closed loop: each query is issued when the
 previous one has returned and been checked. A run starts a pinned Spark
 session, builds the workload's graph ``SETUPS`` times (reporting the
-median), builds the workload's indexes, then runs whole rounds of the
-query mix, one new source per round, until ``--seconds`` have passed.
+median), runs one untimed warm-up query at a looser accuracy, builds the
+workload's indexes, then runs whole rounds of the query mix, one new source
+per round, until ``--seconds`` have passed. A traced run adds the methods
+that only it times to every round.
 
 The last line of standard output is one JSON object: ``correct``,
 ``attempted``, ``failed`` and ``metrics`` — the end-to-end metrics with
@@ -36,8 +38,7 @@ SETUPS = 3
 
 
 def _median(values) -> float:
-    values = list(values)
-    return float(statistics.median(values)) if values else 0.0
+    return float(statistics.median(values))
 
 
 def _log(msg: str) -> None:
@@ -72,86 +73,107 @@ def set_up_graph(ctx, wl) -> tuple[float, float]:
     return t1 - t0, t2 - t1
 
 
-def run_queries(ctx, wl, tracer, sources, seconds, seed):
-    """Whole rounds of the mix until ``seconds`` have passed."""
+def run_round(ctx, mix, tracer, s, tol, walk_seed, label=""):
+    """One query per method of ``mix`` from source ``s``, each checked;
+    returns the records of the queries that passed and the failure count."""
     from workloads import normalise_stats
 
     records, failures = [], 0
-    attempted = rounds = 0
+    for k, method in enumerate(mix):
+        try:
+            with tracer.span(method.layer) as root:
+                ans = method.run(ctx, s, walk_seed + k, tol)
+            tracer.resolve_jobs()
+            problems = method.check(ctx, s, ans, tol)
+        except Exception:  # a raising query is a failed query; the run goes on
+            problems = [traceback.format_exc()]
+        if problems:
+            failures += 1
+            _log(f"{label}FAILED {method.name} s={s}: {'; '.join(problems)}")
+            continue
+        wall = root.wall - root.tracer_s
+        jobs = sum(sp.jobs for sp in tracer.subtree(root))
+        records.append(QueryRecord(method, s, wall, jobs, normalise_stats(ans), root))
+        _log(f"{label}{method.name} s={s} {wall:.2f}s {jobs} jobs {records[-1].stats}")
+    return records, failures
+
+
+def run_queries(ctx, wl, mix, tracer, sources, seconds, seed):
+    """Whole rounds of the mix until ``seconds`` have passed."""
+    records, failures, rounds = [], 0, 0
     t0 = time.perf_counter()
     while rounds == 0 or time.perf_counter() - t0 < seconds:
         s = sources[rounds % len(sources)]
-        for k, method in enumerate(wl.mix):
-            attempted += 1
-            walk_seed = seed * 1000 + rounds * 10 + k
-            try:
-                with tracer.span(method.layer) as root:
-                    ans = method.run(ctx, s, walk_seed)
-                tracer.resolve_jobs()
-                problems = method.check(ctx, s, ans)
-            except Exception:  # a raising query is a failed query; the run goes on
-                problems = [traceback.format_exc()]
-            if problems:
-                failures += 1
-                _log(f"FAILED {method.name} s={s}: {'; '.join(problems)}")
-                continue
-            wall = root.wall - root.tracer_s
-            jobs = sum(sp.jobs for sp in tracer.subtree(root))
-            records.append(QueryRecord(method, s, wall, jobs, normalise_stats(ans), root))
-            _log(f"{method.name} s={s} {wall:.2f}s {jobs} jobs {records[-1].stats}")
+        recs, fails = run_round(ctx, mix, tracer, s, wl.tol, seed * 1000 + rounds * 10)
+        records += recs
+        failures += fails
         rounds += 1
-    return records, attempted, failures, rounds
+    return records, rounds * len(mix), failures, rounds
 
 
 def end_to_end(setup_s, index, records) -> dict:
-    walls = [r.wall for r in records]
-
-    def role(name):
-        return _median(r.wall for r in records if r.method.role == name)
-
-    return {
+    """A metric with no checked query behind it is left out: a method that
+    fails every query must not read as infinitely fast."""
+    out = {
         "setup_s": setup_s,
         "index_build_s": index.seconds,
         "index_mb": index.bytes / 1e6,
-        "unified_s": role("unified"),
-        "baseline_s": role("baseline"),
-        "queries_per_min": 60.0 * len(walls) / sum(walls) if walls else 0.0,
-        "jobs_per_query": sum(r.jobs for r in records) / len(records) if records else 0.0,
     }
+    for role in ("unified", "baseline"):
+        walls = [r.wall for r in records if r.method.role == role]
+        if walls:
+            out[f"{role}_s"] = _median(walls)
+    if records:
+        out["queries_per_min"] = 60.0 * len(records) / sum(r.wall for r in records)
+        out["jobs_per_query"] = sum(r.jobs for r in records) / len(records)
+    return out
 
 
-def per_layer(setup_layers, index, records, tracer, rounds, jvm_mb) -> dict:
-    from metrics import CALL_QUANTITIES, METHOD_QUANTITIES, per_layer_names
-
-    out = dict.fromkeys(per_layer_names(), 0.0)
-    out.update(setup_layers)
-    out.update(index.layers)
-    for span, quantities in CALL_QUANTITIES:
-        spans = [sp for sp in tracer.spans if sp.name == span]
+def per_layer(names, setup_layers, index, records, tracer, rounds, jvm_mb) -> dict:
+    """Every per-layer metric of ``names``; a layer the workload does not
+    run reads 0."""
+    measured = dict(setup_layers)
+    measured.update(index.layers)
+    roots = {r.root.id for r in records}
+    calls = {}
+    for sp in tracer.spans:
+        if sp.id not in roots:
+            calls.setdefault(sp.name, []).append(sp)
+    for span, spans in calls.items():
         totals = {
             "calls": len(spans),
             "s": sum(sp.self_s for sp in spans),
             "jobs": sum(sp.jobs for sp in spans),
         }
-        for q in quantities:
-            total = totals.get(q, sum(sp.counts.get(q, 0) for sp in spans))
-            out[f"{span}.{q}"] = total / rounds
-    for layer, quantities in METHOD_QUANTITIES.items():
-        mine = [r for r in records if r.method.layer == layer]
-        for q in quantities:
-            if q == "s":
-                vals = [r.wall for r in mine]
-            elif q == "jobs":
-                vals = [r.jobs for r in mine]
-            else:
-                vals = [r.stats.get(q, 0) for r in mine]
-            out[f"{layer}.{q}"] = _median(vals)
-    roots = [r.root for r in records]
-    out["query.residual_s"] = sum(rt.self_s for rt in roots) / rounds
-    out["trace.overhead_s"] = sum(rt.tracer_s for rt in roots) / rounds
-    out["process.jvm_peak_rss_mb"] = jvm_mb
-    out["process.py_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return out
+        for sp in spans:
+            for q, v in sp.counts.items():
+                totals[q] = totals.get(q, 0) + v
+        measured.update({f"{span}.{q}": v / rounds for q, v in totals.items()})
+    by_layer = {}
+    for r in records:
+        by_layer.setdefault(r.method.layer, []).append(r)
+    for layer, mine in by_layer.items():
+        measured[f"{layer}.s"] = _median(r.wall for r in mine)
+        measured[f"{layer}.jobs"] = _median(r.jobs for r in mine)
+        for q in {q for r in mine for q in r.stats}:
+            measured[f"{layer}.{q}"] = _median(r.stats.get(q, 0) for r in mine)
+    measured["query.residual_s"] = sum(r.root.self_s for r in records) / rounds
+    measured["trace.overhead_s"] = sum(r.root.tracer_s for r in records) / rounds
+    measured["process.jvm_peak_rss_mb"] = jvm_mb
+    measured["process.py_peak_rss_mb"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    )
+    return {name: measured.get(name, 0.0) for name in names}
+
+
+#: median-time ratios and the side of 1 that Figs. 4 and 7 put them on;
+#: printed by every run that has both methods, not gated
+SHAPE_RATIOS = (
+    ("PowerPush", "PowItr", "< 1"),
+    ("FIFO-FwdPush", "PowerPush", "> 1"),
+    ("SpeedPPR", "FORA", "< 1"),
+    ("SpeedPPR-Index", "FORA+", "< 1"),
+)
 
 
 def print_summary(wl, records, index) -> None:
@@ -162,11 +184,9 @@ def print_summary(wl, records, index) -> None:
     print(f"workload {wl.name}: {wl.dataset} at scale {wl.scale}, {wl.params}")
     for name, value in med.items():
         print(f"  {name}: median {value:.3f} s over {len(walls[name])} queries")
-    unified = next(m.name for m in wl.mix if m.role == "unified")
-    baseline = next(m.name for m in wl.mix if m.role == "baseline")
-    if med.get(unified) and med.get(baseline):
-        # the paper's shape is <= 1; printed, not gated
-        print(f"  ratio {unified} / {baseline} = {med[unified] / med[baseline]:.3f}")
+    for num, den, paper in SHAPE_RATIOS:
+        if num in med and den in med:
+            print(f"  ratio {num} / {den} = {med[num] / med[den]:.3f} (paper: {paper})")
     for problem in index.problems:
         print(f"  INDEX CHECK FAILED: {problem}")
 
@@ -185,36 +205,45 @@ def run(spark, wl, args, work, session_s) -> dict:
         "graphs.to_csr.s": _median(csr for _, csr in phases),
     }
     _log(f"set-up: session {session_s:.2f}s, graph {[round(a + b, 2) for a, b in phases]}")
+
+    warm, sources = pick_sources(wl, ctx.g.n, args.seed)
+    # Untimed and untraced; a failure here still fails the run. It runs the
+    # first method of the mix only: that warms the push plans every method
+    # shares and starts the Python walk workers, which the index builds use
+    # too. The methods after it share those plans: PowerPush ran no faster
+    # with a warm-up of its own.
+    warm_tracer = Tracer(spark.sparkContext, "warm-up")
+    _, warm_failures = run_round(
+        ctx, wl.mix[:1], warm_tracer, warm, wl.warm_tol, args.seed * 1000 + 990, "warm-up "
+    )
     index = wl.build_indexes(ctx, bool(args.trace))
     _log(f"indexes: {index.seconds:.2f}s, {index.bytes} bytes")
 
-    sources = pick_sources(wl, ctx.g.n, args.seed)
     tracer = Tracer(spark.sparkContext)
     uninstall = install(tracer) if args.trace else None
     try:
         records, attempted, failures, rounds = run_queries(
-            ctx, wl, tracer, sources, args.seconds, args.seed
+            ctx, wl, wl.round(bool(args.trace)), tracer, sources, args.seconds, args.seed
         )
     finally:
         if uninstall is not None:
             uninstall()
     print_summary(wl, records, index)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        declared = json.load(f)["per_layer" if args.trace else "end_to_end"]
+    units = {m["name"]: m["unit"] for m in declared}
     if args.trace:
         metrics = per_layer(
-            setup_layers, index, records, tracer, rounds, spark_env.jvm_peak_rss_mb(spark)
+            units, setup_layers, index, records, tracer, rounds, spark_env.jvm_peak_rss_mb(spark)
         )
     else:
         metrics = end_to_end(session_s + graph_s, index, records)
-    from metrics import END_TO_END, unit_of
-
-    units = {name: unit for name, unit, _, _ in END_TO_END}
     return {
-        "correct": not index.problems,
+        "correct": not index.problems and failures == 0 and warm_failures == 0,
         "attempted": attempted,
         "failed": failures,
         "metrics": {
-            name: {"value": float(value), "unit": units.get(name) or unit_of(name)}
-            for name, value in metrics.items()
+            name: {"value": float(value), "unit": units[name]} for name, value in metrics.items()
         },
     }
 

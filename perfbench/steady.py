@@ -2,12 +2,12 @@
 print for every end-to-end metric its median, quartiles and spread next to
 the metric's bound from ``BENCHMARK.json``.
 
-    python3 perfbench/steady.py --workload f4_dblp --runs 10 [--first-seed 1] [--out FILE]
+    python3 perfbench/steady.py --workload f4_dblp --runs 10 [--out FILE]
 
-The spread is ``(Q3 − Q1) / median`` with the quartiles of
-``statistics.quantiles(values, n=4)``. A metric is steady when its spread
-is below a third of its bound (``setup_s`` is exempt: its runs are gated on
-the median only). Runs are sequential; each is a fresh process.
+Run ``i`` uses ``--seed i``. The spread is ``(Q3 − Q1) / median`` with the
+quartiles of ``statistics.quantiles(values, n=4)``. A metric is steady when
+its spread is below a third of its bound. Runs are sequential; each is a
+fresh process.
 """
 from __future__ import annotations
 
@@ -44,9 +44,7 @@ def report(bench: dict, results: list[dict]) -> bool:
         q1, _, q3 = statistics.quantiles(values, n=4)
         med = statistics.median(values)
         spread = (q3 - q1) / med if med else float("inf")
-        if m["name"] == "setup_s":
-            verdict = "median-gated"
-        elif spread < m["bound"] / 3:
+        if spread < m["bound"] / 3:
             verdict = "steady"
         else:
             verdict = "within bound" if spread <= m["bound"] else "TOO WIDE"
@@ -62,13 +60,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--out", help="write every run's result to this JSON file")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     results = []
-    for seed in range(args.first_seed, args.first_seed + args.runs):
+    for seed in range(1, args.runs + 1):
         result, wall, rc = run_once(args.workload, seed, bench["run_seconds"])
         if result is None:
             print(f"seed {seed}: exit code {rc} after {wall:.1f}s, no result")

@@ -30,7 +30,6 @@ ALGORITHM_MODULES = (
     "repro.core.powitr",
     "repro.core.fwdpush",
     "repro.core.powerpush",
-    "repro.core.resacc",
     "repro.core.fora",
     "repro.core.speedppr",
     "repro.core.approx_common",
@@ -40,6 +39,7 @@ ALGORITHM_MODULES = (
 
 @dataclass
 class Span:
+    group: str  # the Spark job group of this span alone
     id: int
     name: str
     parent: int | None
@@ -54,10 +54,6 @@ class Span:
     counts: dict = field(default_factory=dict)
 
     @property
-    def group(self) -> str:
-        return f"perfbench-span-{self.id}"
-
-    @property
     def wall(self) -> float:
         return self.end - self.start
 
@@ -69,8 +65,10 @@ class Span:
 class Tracer:
     """Records spans in memory; :meth:`resolve_jobs` fills in job counts."""
 
-    def __init__(self, sc) -> None:
+    def __init__(self, sc, tag: str = "query") -> None:
+        """``tag`` keeps the job groups of two tracers in one session apart."""
         self._sc = sc
+        self._tag = tag
         self._tracker = sc.statusTracker()
         self._bus = sc._jsc.sc().listenerBus()
         self._ids = itertools.count()
@@ -83,7 +81,13 @@ class Tracer:
         b0 = time.perf_counter()
         parent = self._stack[-1] if self._stack else None
         sid = next(self._ids)
-        sp = Span(sid, name, parent.id if parent else None, parent.root if parent else sid)
+        sp = Span(
+            f"perfbench-{self._tag}-{sid}",
+            sid,
+            name,
+            parent.id if parent else None,
+            parent.root if parent else sid,
+        )
         self._sc.setJobGroup(sp.group, name)
         self._stack.append(sp)
         sp.start = time.perf_counter()
@@ -148,7 +152,6 @@ def install(tracer: Tracer) -> Callable[[], None]:
             wrap(mod, "refine_with_walks", "core.approx_common.refine_with_walks",
                  lambda out: {"walks": int(out[1])})
     wrap(Graph, "query_view", "graphs.query_view")
-    wrap(Graph, "to_csr", "graphs.to_csr")
 
     def uninstall() -> None:
         for owner, attr, orig in reversed(patches):

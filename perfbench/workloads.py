@@ -2,12 +2,14 @@
 
 ``f4_dblp``  — high-precision SSPPR (the paper's Fig. 4) on the DBLP
 stand-in: PowItr against PowerPush, plus BePI-lite from an index built in
-set-up. Every Spark query is a chain of bulk push supersteps.
+set-up; a traced round adds FIFO-FwdPush. Every Spark query is a chain of
+bulk push supersteps.
 
 ``f7_webst`` — approximate SSPPR (Fig. 7) on the Web-St stand-in: FORA
 against SpeedPPR. Both push to a loose threshold, hand the sparse end to
 the driver tail or the walks, and refine with α-walks; set-up writes the
-SpeedPPR and FORA+ walk indexes.
+SpeedPPR and FORA+ walk indexes, which a traced round reads with
+SpeedPPR-Index and FORA+.
 
 Every answer is checked against the dense exact solve of
 ``(I − (1−α)Pᵀ)x = α·e_s`` or against a property the method must have.
@@ -55,8 +57,8 @@ class Method:
     name: str  # the paper's name
     layer: str  # span name and per-layer metric prefix
     role: str | None  # "unified", "baseline" or None
-    run: Callable  # (ctx, source, walk_seed) -> answer
-    check: Callable  # (ctx, source, answer) -> list of problems
+    run: Callable  # (ctx, source, walk_seed, tol) -> answer
+    check: Callable  # (ctx, source, answer, tol) -> list of problems
 
 
 @dataclass
@@ -74,8 +76,20 @@ class Workload:
     dataset: str
     scale: float
     params: dict
+    #: the accuracy the timed queries ask for: λ on f4_dblp, ε on f7_webst
+    tol: float
+    #: the warm-up query runs at this looser accuracy: the same query plans
+    #: and Python workers, a fraction of the supersteps
+    warm_tol: float
     build_indexes: Callable  # (ctx, traced) -> IndexBuild
     mix: tuple  # Methods of one round, in order
+    #: Methods a traced round runs after ``mix``. They do not fit the
+    #: untraced runs' budget (see the README), so only the traced run times
+    #: them, reads the walk indexes with them and checks their answers.
+    traced_only: tuple = ()
+
+    def round(self, traced: bool) -> tuple:
+        return self.mix + self.traced_only if traced else self.mix
 
 
 def normalise_stats(ans) -> dict:
@@ -105,31 +119,33 @@ def normalise_stats(ans) -> dict:
 # f4_dblp — high precision
 # ----------------------------------------------------------------------
 F4_LAMBDA = 0.2
+#: one PowItr superstep
+F4_WARM_LAMBDA = 0.9
 #: BePI's ℓ2 stop rule certifies no ℓ1 bound; Δ = λ/100 keeps its ℓ1
 #: error two orders of magnitude under λ
-F4_BEPI_DELTA = F4_LAMBDA / 100
+BEPI_DELTA_PER_LAMBDA = 0.01
 
 
-def _check_push(ctx: Context, s: int, res) -> list[str]:
+def _check_push(ctx: Context, s: int, res, lam: float) -> list[str]:
     from repro.linalg.exact import l1_error
 
     pi = res.pi_vector(ctx.g.n)
     r = res.r_vector(ctx.g.n)
     problems = []
     err = l1_error(pi, ctx.truth(s))
-    if err > F4_LAMBDA:
-        problems.append(f"l1 error {err:.3g} > lambda {F4_LAMBDA}")
+    if err > lam:
+        problems.append(f"l1 error {err:.3g} > lambda {lam}")
     mass = float(pi.sum() + r.sum())
     if abs(mass - 1.0) > MASS_TOL_HIGHPREC:
         problems.append(f"sum(pi) + sum(r) = {mass!r}, not 1")
     return problems
 
 
-def _check_bepi(ctx: Context, s: int, res) -> list[str]:
+def _check_bepi(ctx: Context, s: int, res, lam: float) -> list[str]:
     from repro.linalg.exact import l1_error
 
     err = l1_error(res.pi, ctx.truth(s))
-    return [f"l1 error {err:.3g} > lambda {F4_LAMBDA}"] if err > F4_LAMBDA else []
+    return [f"l1 error {err:.3g} > lambda {lam}"] if err > lam else []
 
 
 def _build_bepi(ctx: Context, traced: bool) -> IndexBuild:
@@ -148,25 +164,32 @@ def _build_bepi(ctx: Context, traced: bool) -> IndexBuild:
     return IndexBuild(seconds, size, layers, [])
 
 
-def _powitr(ctx, s, seed):
+def _powitr(ctx, s, seed, lam):
     from repro.core import powitr
 
-    return powitr(ctx.g, s, alpha=ALPHA, lam=F4_LAMBDA)
+    return powitr(ctx.g, s, alpha=ALPHA, lam=lam)
 
 
-def _powerpush(ctx, s, seed):
+def _fifo_fwdpush(ctx, s, seed, lam):
+    from repro.core import fifo_fwdpush
+
+    return fifo_fwdpush(ctx.g, s, alpha=ALPHA, lam=lam)
+
+
+def _powerpush(ctx, s, seed, lam):
     from repro.core import powerpush
 
-    return powerpush(ctx.g, s, alpha=ALPHA, lam=F4_LAMBDA)
+    return powerpush(ctx.g, s, alpha=ALPHA, lam=lam)
 
 
-def _bepi(ctx, s, seed):
+def _bepi(ctx, s, seed, lam):
     from repro.bepi import bepi_query
 
-    return bepi_query(ctx.indexes["bepi"], s, delta=F4_BEPI_DELTA)
+    return bepi_query(ctx.indexes["bepi"], s, delta=lam * BEPI_DELTA_PER_LAMBDA)
 
 
 POWITR = Method("PowItr", "core.powitr", "baseline", _powitr, _check_push)
+FIFO_FWDPUSH = Method("FIFO-FwdPush", "core.fifo_fwdpush", None, _fifo_fwdpush, _check_push)
 POWERPUSH = Method("PowerPush", "core.powerpush", "unified", _powerpush, _check_push)
 BEPI = Method("BePI", "bepi.query", None, _bepi, _check_bepi)
 
@@ -175,9 +198,17 @@ F4_DBLP = Workload(
     tag=4,
     dataset="DBLP",
     scale=0.25,
-    params={"lambda": F4_LAMBDA, "bepi_delta": F4_BEPI_DELTA, "alpha": ALPHA},
+    params={
+        "lambda": F4_LAMBDA,
+        "bepi_delta": F4_LAMBDA * BEPI_DELTA_PER_LAMBDA,
+        "alpha": ALPHA,
+        "warm_up_lambda": F4_WARM_LAMBDA,
+    },
+    tol=F4_LAMBDA,
+    warm_tol=F4_WARM_LAMBDA,
     build_indexes=_build_bepi,
     mix=(POWITR, POWERPUSH, BEPI),
+    traced_only=(FIFO_FWDPUSH,),
 )
 
 
@@ -185,21 +216,24 @@ F4_DBLP = Workload(
 # f7_webst — approximate
 # ----------------------------------------------------------------------
 F7_EPS = 1.0
+#: one FwdPush superstep; W = 8,300 still exceeds m, so FORA does not fall
+#: back to plain MonteCarlo
+F7_WARM_EPS = 1.9
 
 
-def _check_approx(ctx: Context, s: int, res) -> list[str]:
+def _check_approx(ctx: Context, s: int, res, eps: float) -> list[str]:
     from repro.linalg.exact import max_relative_error
 
     n = ctx.g.n
     pi = res.pi_vector(n)
     problems = []
     err = max_relative_error(pi, ctx.truth(s), 1.0 / n)
-    if err > F7_EPS:
-        problems.append(f"max relative error {err:.3g} > eps {F7_EPS}")
+    if err > eps:
+        problems.append(f"max relative error {err:.3g} > eps {eps}")
     mass = float(pi.sum())
     if abs(mass - 1.0) > MASS_TOL_APPROX:
         problems.append(f"sum(pi) = {mass!r}, not 1 (short walk supply?)")
-    if res.stats["algorithm"] == "SpeedPPR" and res.stats["walks_used"] > ctx.g.m:
+    if res.stats["algorithm"].startswith("SpeedPPR") and res.stats["walks_used"] > ctx.g.m:
         problems.append(f"{res.stats['walks_used']} walks used > m = {ctx.g.m}")
     return problems
 
@@ -243,34 +277,61 @@ def _build_walk_indexes(ctx: Context, traced: bool) -> IndexBuild:
     return IndexBuild(seconds, size, layers, problems)
 
 
-def _fora(ctx, s, seed):
+def _fora(ctx, s, seed, eps):
     from repro.core import fora
 
-    return fora(ctx.g, s, eps=F7_EPS, alpha=ALPHA, seed=seed)
+    return fora(ctx.g, s, eps=eps, alpha=ALPHA, seed=seed)
 
 
-def _speedppr(ctx, s, seed):
+def _fora_index(ctx, s, seed, eps):
+    from repro.core import fora
+
+    return fora(ctx.g, s, eps=eps, alpha=ALPHA, seed=seed, index=ctx.indexes["fora"])
+
+
+def _speedppr(ctx, s, seed, eps):
     from repro.core import speedppr
 
-    return speedppr(ctx.g, s, eps=F7_EPS, alpha=ALPHA, seed=seed)
+    return speedppr(ctx.g, s, eps=eps, alpha=ALPHA, seed=seed)
+
+
+def _speedppr_index(ctx, s, seed, eps):
+    from repro.core import speedppr
+
+    return speedppr(ctx.g, s, eps=eps, alpha=ALPHA, seed=seed, index=ctx.indexes["speedppr"])
 
 
 FORA = Method("FORA", "core.fora", "baseline", _fora, _check_approx)
+FORA_INDEX = Method("FORA+", "core.fora_index", None, _fora_index, _check_approx)
 SPEEDPPR = Method("SpeedPPR", "core.speedppr", "unified", _speedppr, _check_approx)
+SPEEDPPR_INDEX = Method(
+    "SpeedPPR-Index", "core.speedppr_index", None, _speedppr_index, _check_approx
+)
 
 F7_WEBST = Workload(
     name="f7_webst",
     tag=7,
     dataset="Web-St",
     scale=0.25,
-    params={"eps": F7_EPS, "mu": "1/n", "alpha": ALPHA, "fora_index_eps": FORA_INDEX_EPS},
+    params={
+        "eps": F7_EPS,
+        "mu": "1/n",
+        "alpha": ALPHA,
+        "fora_index_eps": FORA_INDEX_EPS,
+        "warm_up_eps": F7_WARM_EPS,
+    },
+    tol=F7_EPS,
+    warm_tol=F7_WARM_EPS,
     build_indexes=_build_walk_indexes,
     mix=(FORA, SPEEDPPR),
+    traced_only=(FORA_INDEX, SPEEDPPR_INDEX),
 )
 
 WORKLOADS = {w.name: w for w in (F4_DBLP, F7_WEBST)}
 
-def pick_sources(wl: Workload, n: int, seed: int, k: int = 64) -> list[int]:
-    """Distinct query sources for one run, one per round."""
+
+def pick_sources(wl: Workload, n: int, seed: int, k: int = 64) -> tuple[int, list[int]]:
+    """The warm-up source and, distinct from it, one query source per round."""
     rng = np.random.default_rng([SOURCE_SEED, wl.tag, seed])
-    return [int(v) for v in rng.choice(n, size=min(k, n), replace=False)]
+    warm, *timed = (int(v) for v in rng.choice(n, size=min(k + 1, n), replace=False))
+    return warm, timed
