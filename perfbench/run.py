@@ -7,10 +7,10 @@ Run from the root of a checkout:
 One process, one client, closed loop: each query is issued when the
 previous one has returned and been checked. A run starts a pinned Spark
 session, builds the workload's graph ``SETUPS`` times (reporting the
-median), runs one untimed warm-up query at a looser accuracy, builds the
-workload's indexes, then runs whole rounds of the query mix, one new source
-per round, until ``--seconds`` have passed. A traced run adds the methods
-that only it times to every round.
+median), builds the workload's indexes, then runs whole rounds of the query
+mix, one new source per round, until ``--seconds`` have passed. There is no
+separate warm-up query (see the README). A traced run adds the methods that
+only it times to every round.
 
 The last line of standard output is one JSON object: ``correct``,
 ``attempted``, ``failed`` and ``metrics`` — the end-to-end metrics with
@@ -73,7 +73,7 @@ def set_up_graph(ctx, wl) -> tuple[float, float]:
     return t1 - t0, t2 - t1
 
 
-def run_round(ctx, mix, tracer, s, tol, walk_seed, label=""):
+def run_round(ctx, mix, tracer, s, tol, walk_seed):
     """One query per method of ``mix`` from source ``s``, each checked;
     returns the records of the queries that passed and the failure count."""
     from workloads import normalise_stats
@@ -89,12 +89,12 @@ def run_round(ctx, mix, tracer, s, tol, walk_seed, label=""):
             problems = [traceback.format_exc()]
         if problems:
             failures += 1
-            _log(f"{label}FAILED {method.name} s={s}: {'; '.join(problems)}")
+            _log(f"FAILED {method.name} s={s}: {'; '.join(problems)}")
             continue
         wall = root.wall - root.tracer_s
         jobs = sum(sp.jobs for sp in tracer.subtree(root))
         records.append(QueryRecord(method, s, wall, jobs, normalise_stats(ans), root))
-        _log(f"{label}{method.name} s={s} {wall:.2f}s {jobs} jobs {records[-1].stats}")
+        _log(f"{method.name} s={s} {wall:.2f}s {jobs} jobs {records[-1].stats}")
     return records, failures
 
 
@@ -206,16 +206,7 @@ def run(spark, wl, args, work, session_s) -> dict:
     }
     _log(f"set-up: session {session_s:.2f}s, graph {[round(a + b, 2) for a, b in phases]}")
 
-    warm, sources = pick_sources(wl, ctx.g.n, args.seed)
-    # Untimed and untraced; a failure here still fails the run. It runs the
-    # first method of the mix only: that warms the push plans every method
-    # shares and starts the Python walk workers, which the index builds use
-    # too. The methods after it share those plans: PowerPush ran no faster
-    # with a warm-up of its own.
-    warm_tracer = Tracer(spark.sparkContext, "warm-up")
-    _, warm_failures = run_round(
-        ctx, wl.mix[:1], warm_tracer, warm, wl.warm_tol, args.seed * 1000 + 990, "warm-up "
-    )
+    sources = pick_sources(wl, ctx.g.n, args.seed)
     index = wl.build_indexes(ctx, bool(args.trace))
     _log(f"indexes: {index.seconds:.2f}s, {index.bytes} bytes")
 
@@ -239,7 +230,7 @@ def run(spark, wl, args, work, session_s) -> dict:
     else:
         metrics = end_to_end(session_s + graph_s, index, records)
     return {
-        "correct": not index.problems and failures == 0 and warm_failures == 0,
+        "correct": not index.problems and failures == 0,
         "attempted": attempted,
         "failed": failures,
         "metrics": {

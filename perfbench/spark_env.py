@@ -4,7 +4,8 @@ The session settings are the ones ``jobs/_common.session`` applies (one
 shuffle partition, AQE off, broadcast joins off, Arrow on, capped default
 relation size), plus what makes a run repeatable and self-contained:
 
-* ``local[k]`` with ``k = min(CORES, nproc)`` and a fixed driver heap;
+* ``local[k]`` with ``k = min(CORES, nproc)``, a fixed driver heap and a
+  fixed garbage collector (the parallel one);
 * UI and console progress bars off;
 * every scratch file (Spark local dirs, JVM and Python temp files, the
   persisted indexes) under one work directory inside the checkout;
@@ -65,8 +66,11 @@ def prepare_env(src_dir: str, work_dir: str) -> None:
     for key, value in conf.items():
         args += ["--conf", f"{key}={value}"]
     # no hsperfdata files: both JVMs (spark-submit's launcher and the
-    # driver) would write them under /tmp, outside the work dir
-    jvm_opts = f"-Djava.io.tmpdir={tmp} -XX:-UsePerfData"
+    # driver) would write them under /tmp, outside the work dir. The
+    # collector is pinned because the JVM otherwise picks it from the
+    # machine's CPU and memory count; the parallel collector also starts
+    # faster than G1, 2-3 s less per run on 4 cores.
+    jvm_opts = f"-Djava.io.tmpdir={tmp} -XX:-UsePerfData -XX:+UseParallelGC"
     os.environ["SPARK_LAUNCHER_OPTS"] = jvm_opts
     args += ["--driver-java-options", jvm_opts, "pyspark-shell"]
     os.environ["PYSPARK_SUBMIT_ARGS"] = " ".join(shlex.quote(a) for a in args)

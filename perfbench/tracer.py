@@ -65,10 +65,8 @@ class Span:
 class Tracer:
     """Records spans in memory; :meth:`resolve_jobs` fills in job counts."""
 
-    def __init__(self, sc, tag: str = "query") -> None:
-        """``tag`` keeps the job groups of two tracers in one session apart."""
+    def __init__(self, sc) -> None:
         self._sc = sc
-        self._tag = tag
         self._tracker = sc.statusTracker()
         self._bus = sc._jsc.sc().listenerBus()
         self._ids = itertools.count()
@@ -82,7 +80,7 @@ class Tracer:
         parent = self._stack[-1] if self._stack else None
         sid = next(self._ids)
         sp = Span(
-            f"perfbench-{self._tag}-{sid}",
+            f"perfbench-{sid}",
             sid,
             name,
             parent.id if parent else None,

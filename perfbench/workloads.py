@@ -78,9 +78,6 @@ class Workload:
     params: dict
     #: the accuracy the timed queries ask for: λ on f4_dblp, ε on f7_webst
     tol: float
-    #: the warm-up query runs at this looser accuracy: the same query plans
-    #: and Python workers, a fraction of the supersteps
-    warm_tol: float
     build_indexes: Callable  # (ctx, traced) -> IndexBuild
     mix: tuple  # Methods of one round, in order
     #: Methods a traced round runs after ``mix``. They do not fit the
@@ -118,9 +115,7 @@ def normalise_stats(ans) -> dict:
 # ----------------------------------------------------------------------
 # f4_dblp — high precision
 # ----------------------------------------------------------------------
-F4_LAMBDA = 0.2
-#: one PowItr superstep
-F4_WARM_LAMBDA = 0.9
+F4_LAMBDA = 0.3
 #: BePI's ℓ2 stop rule certifies no ℓ1 bound; Δ = λ/100 keeps its ℓ1
 #: error two orders of magnitude under λ
 BEPI_DELTA_PER_LAMBDA = 0.01
@@ -202,10 +197,8 @@ F4_DBLP = Workload(
         "lambda": F4_LAMBDA,
         "bepi_delta": F4_LAMBDA * BEPI_DELTA_PER_LAMBDA,
         "alpha": ALPHA,
-        "warm_up_lambda": F4_WARM_LAMBDA,
     },
     tol=F4_LAMBDA,
-    warm_tol=F4_WARM_LAMBDA,
     build_indexes=_build_bepi,
     mix=(POWITR, POWERPUSH, BEPI),
     traced_only=(FIFO_FWDPUSH,),
@@ -215,10 +208,9 @@ F4_DBLP = Workload(
 # ----------------------------------------------------------------------
 # f7_webst — approximate
 # ----------------------------------------------------------------------
-F7_EPS = 1.0
-#: one FwdPush superstep; W = 8,300 still exceeds m, so FORA does not fall
-#: back to plain MonteCarlo
-F7_WARM_EPS = 1.9
+#: W = 8,300 still exceeds m, so FORA does not fall back to plain
+#: MonteCarlo
+F7_EPS = 1.9
 
 
 def _check_approx(ctx: Context, s: int, res, eps: float) -> list[str]:
@@ -318,10 +310,8 @@ F7_WEBST = Workload(
         "mu": "1/n",
         "alpha": ALPHA,
         "fora_index_eps": FORA_INDEX_EPS,
-        "warm_up_eps": F7_WARM_EPS,
     },
     tol=F7_EPS,
-    warm_tol=F7_WARM_EPS,
     build_indexes=_build_walk_indexes,
     mix=(FORA, SPEEDPPR),
     traced_only=(FORA_INDEX, SPEEDPPR_INDEX),
@@ -330,8 +320,7 @@ F7_WEBST = Workload(
 WORKLOADS = {w.name: w for w in (F4_DBLP, F7_WEBST)}
 
 
-def pick_sources(wl: Workload, n: int, seed: int, k: int = 64) -> tuple[int, list[int]]:
-    """The warm-up source and, distinct from it, one query source per round."""
+def pick_sources(wl: Workload, n: int, seed: int, k: int = 64) -> list[int]:
+    """Distinct query sources, one per round."""
     rng = np.random.default_rng([SOURCE_SEED, wl.tag, seed])
-    warm, *timed = (int(v) for v in rng.choice(n, size=min(k + 1, n), replace=False))
-    return warm, timed
+    return [int(v) for v in rng.choice(n, size=min(k, n), replace=False)]
