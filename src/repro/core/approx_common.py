@@ -73,7 +73,7 @@ def refine_with_walks(
             # finish frozen walks: their continuation is a fresh α-walk
             # from the query source
             rng = np.random.default_rng([seed, 777, int(s)])
-            ends = simulate_endpoints(
+            ends, _ = simulate_endpoints(
                 g.to_csr(), int(s), np.full(len(pend), s, dtype=np.int64), alpha, rng
             )
             pdf = pd.DataFrame({"node": ends, "pi": pend["weight"].to_numpy()})

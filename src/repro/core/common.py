@@ -1,4 +1,5 @@
-"""Shared machinery for the distributed SSPPR algorithms.
+"""Shared machinery for the distributed SSPPR algorithms: sparse vectors and
+the one push-superstep engine.
 
 Vectors over nodes are sparse DataFrames ``(node: long, <col>: double)``;
 zero coordinates are simply absent. One *push superstep* over the
@@ -6,17 +7,34 @@ degree-annotated adjacency ``adj = (src, dst, deg)`` computes
 
     msgs(dst) = Σ_{(src,dst) ∈ E, src pushed} (1−α) · r(src) / deg(src)
 
-— the distributed form of Eq. (8). Lineage is truncated with eager
-``localCheckpoint`` every superstep (the vectors are small; the edge
-relation is the big, cached side).
+— the distributed form of Eq. (8). PowItr, SimFwdPush, FIFO-FwdPush,
+PowerPush and ResAcc all run this one :func:`superstep` over a
+:class:`PushState`; they differ only in schedule: the threshold of each
+phase, the stop rule, and when the sparse tail goes to the driver
+(:mod:`repro.core.driver_tail`). Lineage is truncated with eager
+``localCheckpoint``: ``r`` every superstep (it feeds the next join), ``π``
+every :data:`PI_CHECKPOINT_EVERY` supersteps (the vectors are small; the
+edge relation is the big, cached side).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+if TYPE_CHECKING:
+    from repro.graphs.graph import Graph
+
+#: supersteps between eager checkpoints of π, whose union chain grows by
+#: one ``vec_add`` per superstep
+PI_CHECKPOINT_EVERY = 8
+MAX_SUPERSTEPS = 10_000
+#: the work counters of a run that pushes nothing (plain MonteCarlo)
+NO_PUSHES = {"supersteps": 0, "edge_pushes": 0, "r_sum": 0.0}
 
 
 @dataclass
@@ -32,6 +50,14 @@ class PPRResult:
 
     def r_vector(self, n: int) -> np.ndarray:
         return _to_dense(self.r, n, "r")
+
+
+def ppr_result(algorithm: str, t0: float, pi: DataFrame, r: DataFrame, work: dict, **extras) -> PPRResult:
+    """The one stats schema: ``algorithm``, ``supersteps``, ``edge_pushes``
+    and ``r_sum`` (taken from ``work``), the method's extras, ``wall_time``."""
+    stats = {"algorithm": algorithm, **{k: work[k] for k in NO_PUSHES}, **extras}
+    stats["wall_time"] = time.perf_counter() - t0
+    return PPRResult(pi=pi, r=r, stats=stats)
 
 
 def _to_dense(df: DataFrame, n: int, col: str) -> np.ndarray:
@@ -87,24 +113,126 @@ def materialize(df: DataFrame) -> DataFrame:
     return df.coalesce(1).localCheckpoint(eager=True)
 
 
-def split_active(r: DataFrame, degrees_q: DataFrame, r_max: float) -> tuple[DataFrame, DataFrame]:
-    """Partition the residue vector into (active, inactive) w.r.t. the
-    paper's activity rule ``r(s,v) > d_v · r_max``."""
-    joined = r.join(degrees_q, "node")
-    active = joined.where(F.col("r") > F.col("deg") * F.lit(r_max)).select("node", "r")
-    inactive = joined.where(F.col("r") <= F.col("deg") * F.lit(r_max)).select("node", "r")
-    return active, inactive
+def trickle_size(n: int) -> int:
+    """Active frontiers of at most this many nodes are a sparse trickle: a
+    superstep per handful of nodes wastes wall time, so the driver drains
+    them — the paper's local/global switch, at the cluster/driver boundary."""
+    return max(8, n // 64)
 
 
-def frontier_stats(r: DataFrame, degrees_q: DataFrame, r_max: float) -> tuple[float, int, int]:
-    """One action returning ``(r_sum, #active nodes, Σ deg over active)``."""
-    row = (
-        r.join(degrees_q, "node")
-        .agg(
-            F.sum("r").alias("rs"),
-            F.sum(F.when(F.col("r") > F.col("deg") * F.lit(r_max), 1).otherwise(0)).alias("na"),
-            F.sum(F.when(F.col("r") > F.col("deg") * F.lit(r_max), F.col("deg")).otherwise(0)).alias("da"),
+# ----------------------------------------------------------------------
+# The push-superstep engine
+# ----------------------------------------------------------------------
+class PushState:
+    """One query's push state: the cached ``adj``/``deg_q`` view, ``r = e_s``
+    and ``π = 0`` to start with, and the superstep and edge-push counters.
+
+    Setting ``r`` drops the :func:`frontier_stats` kept for the old vector.
+    """
+
+    def __init__(self, g: Graph, s: int, *, alpha: float, max_supersteps: int = MAX_SUPERSTEPS) -> None:
+        self.t0 = time.perf_counter()
+        self.g, self.alpha, self.max_supersteps = g, alpha, max_supersteps
+        adj, deg_q = g.query_view(s)
+        self.adj, self.deg_q = adj.cache(), deg_q.cache()
+        self.r = materialize(unit_vec(g.spark, s, "r"))
+        self.pi = materialize(empty_vec(g.spark, "pi"))
+        self.pi_lazy = False  # π holds additions made since its last checkpoint
+        self.supersteps = 0
+        self.edge_pushes = 0
+
+    @property
+    def r(self) -> DataFrame:
+        return self._r
+
+    @r.setter
+    def r(self, df: DataFrame) -> None:
+        self._r = df
+        self.kept_stats: dict[tuple, tuple[float, int, int]] = {}  # by (threshold, exclude)
+
+    def known_r_sum(self) -> float | None:
+        """``Σ r`` if a stats action ran on the current ``r`` (it does not
+        depend on the threshold), else None."""
+        return next(iter(self.kept_stats.values()))[0] if self.kept_stats else None
+
+    def absorb(self, tail: tuple[DataFrame, DataFrame, int]) -> None:
+        """Take over the ``(π, r, edge_pushes)`` a driver-side finish returned."""
+        self.pi, self.r, pushes = tail
+        self.pi_lazy = False
+        self.edge_pushes += pushes
+
+    def result(self, algorithm: str, **extras) -> PPRResult:
+        """Checkpoint π, read ``r_sum`` (one aggregate unless already known)
+        and release the query's cached view."""
+        if self.pi_lazy:
+            self.pi = materialize(self.pi)
+        r_sum = self.known_r_sum()
+        if r_sum is None:
+            r_sum = float(self.r.groupBy().sum("r").collect()[0][0] or 0.0)
+        self.adj.unpersist()
+        self.deg_q.unpersist()
+        work = {"supersteps": self.supersteps, "edge_pushes": self.edge_pushes, "r_sum": r_sum}
+        return ppr_result(algorithm, self.t0, self.pi, self.r, work, **extras)
+
+
+def _is_active(threshold: float, exclude: int | None):
+    """The paper's activity rule ``r(s,v) > d_v · r_max``; ``exclude`` is a
+    node never pushed (ResAcc's source)."""
+    active = F.col("r") > F.col("deg") * F.lit(threshold)
+    return active if exclude is None else active & (F.col("node") != F.lit(int(exclude)))
+
+
+def frontier_stats(state: PushState, threshold: float, exclude: int | None = None) -> tuple[float, int, int]:
+    """One action returning ``(r_sum, #active nodes, Σ deg over active)``
+    for the current ``r``; kept until ``r`` changes, so the superstep that
+    follows reuses it."""
+    key = (threshold, exclude)
+    if key not in state.kept_stats:
+        active = _is_active(threshold, exclude)
+        row = (
+            state.r.join(state.deg_q, "node")
+            .agg(
+                F.sum("r").alias("rs"),
+                F.sum(F.when(active, 1).otherwise(0)).alias("na"),
+                F.sum(F.when(active, F.col("deg")).otherwise(0)).alias("da"),
+            )
+            .collect()[0]
         )
-        .collect()[0]
-    )
-    return float(row["rs"] or 0.0), int(row["na"] or 0), int(row["da"] or 0)
+        state.kept_stats[key] = (float(row["rs"] or 0.0), int(row["na"] or 0), int(row["da"] or 0))
+    return state.kept_stats[key]
+
+
+def split_active(state: PushState, threshold: float, exclude: int | None = None) -> tuple[DataFrame, DataFrame]:
+    """Partition ``r`` into (active, inactive) lazily."""
+    joined = state.r.join(state.deg_q, "node")
+    active = _is_active(threshold, exclude)
+    return joined.where(active).select("node", "r"), joined.where(~active).select("node", "r")
+
+
+def superstep(state: PushState, threshold: float = 0.0, exclude: int | None = None) -> None:
+    """Push every active node once: ``π += α·frontier``, ``r ← rest + msgs``.
+
+    At threshold 0 the frontier is the whole support (residues are kept
+    > 0), so there is no split and no ``deg_q`` join. Such a superstep is
+    charged ``Σ deg`` over the support if :func:`frontier_stats` ran for it
+    (SimFwdPush's local accounting), else ``m`` (PowItr's global one).
+    Raises ``RuntimeError`` once ``max_supersteps`` have run.
+    """
+    if state.supersteps >= state.max_supersteps:
+        raise RuntimeError(f"push superstep limit ({state.max_supersteps}) hit before the stop rule held")
+    alpha = state.alpha
+    if threshold == 0.0 and exclude is None:
+        frontier, rest = state.r, None
+        known = state.kept_stats.get((0.0, None))
+        pushes = known[2] if known else state.g.m
+    else:
+        pushes = frontier_stats(state, threshold, exclude)[2]
+        frontier, rest = split_active(state, threshold, exclude)
+    state.pi = vec_add(state.pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
+    msgs = push_msgs(frontier, state.adj, alpha)
+    state.r = materialize(msgs if rest is None else vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
+    state.supersteps += 1
+    state.edge_pushes += pushes
+    state.pi_lazy = state.supersteps % PI_CHECKPOINT_EVERY != 0
+    if not state.pi_lazy:
+        state.pi = materialize(state.pi)

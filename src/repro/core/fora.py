@@ -11,7 +11,7 @@ import math
 import time
 
 from repro.core.approx_common import refine_with_walks
-from repro.core.common import PPRResult
+from repro.core.common import PPRResult, ppr_result
 from repro.core.fwdpush import fifo_fwdpush
 from repro.core.montecarlo import monte_carlo, num_walks
 from repro.core.walk_index import WalkIndex
@@ -40,16 +40,7 @@ def fora(
     pi, walks_used = refine_with_walks(
         g, s, push.pi, push.r, W, alpha=alpha, seed=seed, index=index
     )
-    return PPRResult(
-        pi=pi,
-        r=push.r,
-        stats={
-            "algorithm": "FORA+" if index is not None else "FORA",
-            "num_walks": W,
-            "walks_used": walks_used,
-            "r_max": r_max,
-            "push_supersteps": push.stats["supersteps"],
-            "push_edge_pushes": push.stats["edge_pushes"],
-            "wall_time": time.perf_counter() - t0,
-        },
+    return ppr_result(
+        "FORA+" if index is not None else "FORA", t0, pi, push.r, push.stats,
+        num_walks=W, walks_used=walks_used, r_max=r_max,
     )

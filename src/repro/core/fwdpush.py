@@ -10,26 +10,13 @@ Two variants:
   analysis is stated over exactly these iterations.
 * :func:`sim_fwdpush` — SimFwdPush (§4.1): ``r_max = 0``, i.e. every node
   holding residue is pushed each superstep; provably identical to PowItr
-  (Lemma 4.1), which the tests assert against :mod:`repro.core.powitr`.
+  (Lemma 4.1), so it runs PowItr's loop and only counts pushes locally.
 """
 from __future__ import annotations
 
-import time
-
-from pyspark.sql import functions as F
-
-from repro.core.common import (
-    PPRResult,
-    empty_vec,
-    frontier_stats,
-    materialize,
-    push_msgs,
-    split_active,
-    unit_vec,
-    vec_add,
-    vec_scale,
-)
+from repro.core.common import MAX_SUPERSTEPS, PPRResult, PushState, frontier_stats, superstep
 from repro.core.driver_tail import finish_on_driver
+from repro.core.powitr import iterate
 from repro.graphs.graph import Graph
 
 
@@ -40,101 +27,33 @@ def fifo_fwdpush(
     alpha: float = 0.2,
     r_max: float | None = None,
     lam: float = 1e-6,
-    max_supersteps: int = 10_000,
+    max_supersteps: int = MAX_SUPERSTEPS,
 ) -> PPRResult:
     """Frontier-synchronous FwdPush; terminates when no node is active.
 
     Defaults to ``r_max = lam/m`` so Eq. (7) guarantees ℓ1 error ≤ ``lam``.
     """
-    t0 = time.perf_counter()
     if r_max is None:
         r_max = lam / g.m
-    adj, deg_q = g.query_view(s)
-    adj = adj.cache()
-    deg_q = deg_q.cache()
-    spark = g.spark
-    r = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    supersteps = 0
-    edge_pushes = 0
-    tail_pushes = 0
+    st = PushState(g, s, alpha=alpha, max_supersteps=max_supersteps)
     lam_target = g.m * r_max  # the Eq. 7 ℓ1 target; past it the frontier
     # is a sparse trickle — Lemma 4.5's O(m) tail, drained on the driver
-    while supersteps < max_supersteps:
-        r_sum, n_active, deg_active = frontier_stats(r, deg_q, r_max)
+    while True:
+        r_sum, n_active, _ = frontier_stats(st, r_max)
         if n_active == 0:
             break
         if r_sum <= lam_target:
-            pi = materialize(pi)
-            pi, r, tail_pushes = finish_on_driver(g, s, pi, r, r_max, alpha)
+            st.absorb(finish_on_driver(g, s, st.pi, st.r, r_max, alpha))
             break
-        frontier, rest = split_active(r, deg_q, r_max)
-        pi = vec_add(pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        msgs = push_msgs(frontier, adj, alpha)
-        r = materialize(vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
-        supersteps += 1
-        if supersteps % 4 == 0:
-            pi = materialize(pi)
-        edge_pushes += deg_active
-    else:
-        raise RuntimeError("fifo_fwdpush: superstep limit hit before inactivity")
-    pi = materialize(pi)
-    edge_pushes += tail_pushes
-    r_sum, _, _ = frontier_stats(r, deg_q, r_max)
-    adj.unpersist()
-    deg_q.unpersist()
-    return PPRResult(
-        pi=pi,
-        r=r,
-        stats={
-            "algorithm": "FIFO-FwdPush",
-            "supersteps": supersteps,
-            "edge_pushes": edge_pushes,
-            "r_sum": r_sum,
-            "r_max": r_max,
-            "wall_time": time.perf_counter() - t0,
-        },
-    )
+        superstep(st, r_max)
+    return st.result("FIFO-FwdPush", r_max=r_max)
 
 
 def sim_fwdpush(
-    g: Graph, s: int, *, alpha: float = 0.2, lam: float = 1e-6, max_supersteps: int = 10_000
+    g: Graph, s: int, *, alpha: float = 0.2, lam: float = 1e-6, max_supersteps: int = MAX_SUPERSTEPS
 ) -> PPRResult:
     """SimFwdPush: push *every* node with non-zero residue each superstep,
-    stop when ``r_sum ≤ lam``. Numerically identical to PowItr."""
-    t0 = time.perf_counter()
-    adj, deg_q = g.query_view(s)
-    adj = adj.cache()
-    deg_q = deg_q.cache()
-    spark = g.spark
-    r = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    supersteps = 0
-    edge_pushes = 0
-    r_sum = 1.0
-    while r_sum > lam and supersteps < max_supersteps:
-        # r_max = 0: the whole support is the frontier. Every push moves
-        # all residue, so r_sum decays exactly geometrically (Eq. 6) — no
-        # aggregate needed for loop control, only for the push counter.
-        _, _, deg_active = frontier_stats(r, deg_q, 0.0)
-        pi = vec_add(pi, vec_scale(r, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        r = materialize(push_msgs(r, adj, alpha))
-        supersteps += 1
-        if supersteps % 8 == 0:
-            pi = materialize(pi)
-        r_sum = (1.0 - alpha) ** supersteps
-        edge_pushes += deg_active
-    pi = materialize(pi)
-    adj.unpersist()
-    deg_q.unpersist()
-    return PPRResult(
-        pi=pi,
-        r=r,
-        stats={
-            "algorithm": "SimFwdPush",
-            "supersteps": supersteps,
-            "edge_pushes": edge_pushes,
-            "r_sum": r_sum,
-            "wall_time": time.perf_counter() - t0,
-        },
+    until ``r_sum = (1−α)^j ≤ lam``. Numerically identical to PowItr."""
+    return iterate(
+        g, s, "SimFwdPush", alpha=alpha, lam=lam, local_pushes=True, max_supersteps=max_supersteps
     )

@@ -21,13 +21,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import BooleanType, LongType, StructField, StructType
 
-from repro.core.common import PPRResult, empty_vec
+from repro.core.common import NO_PUSHES, PPRResult, empty_vec, ppr_result
 from repro.graphs.graph import Graph
-from repro.linalg.walks import (
-    MAX_STEPS_DEFAULT,
-    simulate_endpoints,
-    simulate_endpoints_indexable,
-)
+from repro.linalg.walks import MAX_STEPS_DEFAULT, simulate_endpoints
 
 
 def num_walks(n: int, eps: float, mu: float) -> int:
@@ -50,7 +46,7 @@ def simulate_walks_df(
     ``seeds`` must have a ``start`` column; all other columns pass through.
     With ``s`` given, dead ends jump back to ``s`` and ``pending`` is always
     false; with ``s=None`` (index builds) walks freeze at dead ends and are
-    flagged pending (see :func:`simulate_endpoints_indexable`).
+    flagged pending (see :func:`~repro.linalg.walks.simulate_endpoints`).
     """
     csr = g.to_csr()
     sc = g.spark.sparkContext
@@ -78,11 +74,7 @@ def simulate_walks_df(
             # deterministic, collision-free per-batch stream: keyed by the
             # user seed, the partition, and the batch ordinal within it
             rng = np.random.default_rng([seed, pid, batch_no])
-            if s is None:
-                ends, pend = simulate_endpoints_indexable(local, starts, alpha, rng, max_steps)
-            else:
-                ends = simulate_endpoints(local, int(s), starts, alpha, rng, max_steps)
-                pend = np.zeros(len(starts), dtype=bool)
+            ends, pend = simulate_endpoints(local, s, starts, alpha, rng, max_steps)
             out = pdf[pass_cols].copy()
             out["endpoint"] = ends
             out["pending"] = pend
@@ -123,12 +115,4 @@ def monte_carlo(
     walks = simulate_walks_df(g, seeds, s=s, alpha=alpha, seed=seed)
     pi = weighted_endpoint_mass(walks).cache()
     pi.count()
-    return PPRResult(
-        pi=pi,
-        r=empty_vec(g.spark, "r"),
-        stats={
-            "algorithm": "MonteCarlo",
-            "num_walks": W,
-            "wall_time": time.perf_counter() - t0,
-        },
-    )
+    return ppr_result("MonteCarlo", t0, pi, empty_vec(g.spark, "r"), NO_PUSHES, num_walks=W)

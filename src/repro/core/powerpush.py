@@ -11,10 +11,11 @@ Phases, mirroring the paper:
    ``r'_max = λ^{i/epochNum}/m`` until ``r_sum ≤ m·r'_max``. Relaxing the
    threshold lets low-benefit nodes accumulate residue before being
    pushed, cutting the number of supersteps and pushes (the paper's
-   "dynamic ℓ1-error threshold" optimisation).
-3. **Optional refinement** (Remark / SpeedPPR line 3) — frontier pushes
-   until *no* node is active w.r.t. ``refine_r_max``; ``O(m)`` extra by
-   Lemma 4.5.
+   "dynamic ℓ1-error threshold" optimisation). An epoch whose active
+   frontier shrinks to a trickle is drained on the driver.
+3. **Optional refinement** (Remark / SpeedPPR line 3) — pushes until *no*
+   node is active w.r.t. ``refine_r_max``: Lemma 4.5's ``O(m)`` sparse
+   tail, run as a driver-side queue.
 
 The single-machine distinction between random access and a cache-friendly
 sequential scan has no dataflow analogue; what survives — and is measured —
@@ -23,20 +24,13 @@ relaxed-threshold bulk supersteps.
 """
 from __future__ import annotations
 
-import time
-
-from pyspark.sql import functions as F
-
 from repro.core.common import (
+    MAX_SUPERSTEPS,
     PPRResult,
-    empty_vec,
+    PushState,
     frontier_stats,
-    materialize,
-    push_msgs,
-    split_active,
-    unit_vec,
-    vec_add,
-    vec_scale,
+    superstep,
+    trickle_size,
 )
 from repro.core.driver_tail import finish_on_driver
 from repro.graphs.graph import Graph
@@ -53,92 +47,44 @@ def powerpush(
     epoch_num: int = EPOCH_NUM_DEFAULT,
     scan_threshold: int | None = None,
     refine_r_max: float | None = None,
-    max_supersteps: int = 10_000,
+    max_supersteps: int = MAX_SUPERSTEPS,
 ) -> PPRResult:
     """Run distributed PowerPush to ℓ1 error ≤ ``lam``."""
-    t0 = time.perf_counter()
     if scan_threshold is None:
         scan_threshold = max(1, g.n // 4)
     r_max = lam / g.m
-    adj, deg_q = g.query_view(s)
-    adj = adj.cache()
-    deg_q = deg_q.cache()
-    spark = g.spark
-    r = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    supersteps = 0
-    edge_pushes = 0
-
-    def _push_frontier(threshold: float) -> tuple[float, int]:
-        """One frontier superstep at ``threshold``; returns (r_sum_before,
-        #active). Mutates r/pi in the enclosing scope."""
-        nonlocal r, pi, supersteps, edge_pushes
-        r_sum, n_active, deg_active = frontier_stats(r, deg_q, threshold)
-        if n_active == 0:
-            return r_sum, 0
-        frontier, rest = split_active(r, deg_q, threshold)
-        pi = vec_add(pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        msgs = push_msgs(frontier, adj, alpha)
-        r = materialize(vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
-        supersteps += 1
-        if supersteps % 4 == 0:
-            pi = materialize(pi)
-        edge_pushes += deg_active
-        return r_sum, n_active
+    st = PushState(g, s, alpha=alpha, max_supersteps=max_supersteps)
 
     # ---- phase 1: queue mode ----
     queue_steps = 0
-    while supersteps < max_supersteps:
-        r_sum, n_active, _ = frontier_stats(r, deg_q, r_max)
+    while True:
+        r_sum, n_active, _ = frontier_stats(st, r_max)
         if n_active == 0 or n_active > scan_threshold or r_sum <= lam:
             break
-        _push_frontier(r_max)
+        superstep(st, r_max)
         queue_steps += 1
 
     # ---- phase 2: scan mode with dynamic thresholds ----
-    # trickle guard: once the active frontier is tiny, a superstep per
-    # handful of nodes wastes wall time — drain the epoch on the driver
-    # (the same local/global switch the paper makes, at the cluster/driver
-    # boundary)
-    trickle = max(8, g.n // 64)
-    r_sum, n_active, _ = frontier_stats(r, deg_q, r_max)
     if r_sum > lam:
+        trickle = trickle_size(g.n)
         for i in range(1, epoch_num + 1):
             r_max_i = lam ** (i / epoch_num) / g.m
-            while supersteps < max_supersteps:
-                r_sum, n_active, _ = frontier_stats(r, deg_q, r_max_i)
+            while True:
+                # r_sum does not depend on the threshold: an epoch whose
+                # target the known r_sum already meets needs no action
+                known = st.known_r_sum()
+                if known is not None and known <= g.m * r_max_i:
+                    break
+                r_sum, n_active, _ = frontier_stats(st, r_max_i)
                 if r_sum <= g.m * r_max_i or n_active == 0:
                     break
                 if n_active <= trickle:
-                    pi = materialize(pi)
-                    pi, r, tail = finish_on_driver(g, s, pi, r, r_max_i, alpha)
-                    edge_pushes += tail
+                    st.absorb(finish_on_driver(g, s, st.pi, st.r, r_max_i, alpha))
                     break
-                _push_frontier(r_max_i)
+                superstep(st, r_max_i)
 
     # ---- phase 3: optional refinement to a no-active state ----
-    # r_sum ≤ λ already; this is Lemma 4.5's O(m) sparse tail, which a
-    # bulk-synchronous frontier would drain one trickle-superstep at a
-    # time — the local/global switch says: run it as a driver-side queue
     if refine_r_max is not None:
-        pi = materialize(pi)
-        pi, r, tail_pushes = finish_on_driver(g, s, pi, r, refine_r_max, alpha)
-        edge_pushes += tail_pushes
+        st.absorb(finish_on_driver(g, s, st.pi, st.r, refine_r_max, alpha))
 
-    pi = materialize(pi)
-    r_sum, _, _ = frontier_stats(r, deg_q, r_max)
-    adj.unpersist()
-    deg_q.unpersist()
-    return PPRResult(
-        pi=pi,
-        r=r,
-        stats={
-            "algorithm": "PowerPush",
-            "supersteps": supersteps,
-            "queue_supersteps": queue_steps,
-            "edge_pushes": edge_pushes,
-            "r_sum": r_sum,
-            "r_max": r_max,
-            "wall_time": time.perf_counter() - t0,
-        },
-    )
+    return st.result("PowerPush", queue_supersteps=queue_steps, r_max=r_max)

@@ -23,15 +23,13 @@ from pyspark.sql import functions as F
 
 from repro.core.approx_common import refine_with_walks
 from repro.core.common import (
+    MAX_SUPERSTEPS,
     PPRResult,
-    empty_vec,
+    PushState,
     frontier_stats,
-    materialize,
-    push_msgs,
-    split_active,
-    unit_vec,
-    vec_add,
-    vec_scale,
+    ppr_result,
+    superstep,
+    trickle_size,
 )
 from repro.core.driver_tail import finish_on_driver
 from repro.core.montecarlo import monte_carlo, num_walks
@@ -46,7 +44,7 @@ def resacc(
     mu: float | None = None,
     alpha: float = 0.2,
     seed: int = 0,
-    max_supersteps: int = 10_000,
+    max_supersteps: int = MAX_SUPERSTEPS,
 ) -> PPRResult:
     """Answer an Approx-SSPPR query with source-residue accumulation."""
     t0 = time.perf_counter()
@@ -55,61 +53,32 @@ def resacc(
     if g.m >= W:
         return monte_carlo(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
     r_max = 1.0 / math.sqrt(g.m * W)
-    adj, deg_q = g.query_view(s)
-    adj = adj.cache()
-    deg_q = deg_q.cache()
-    spark = g.spark
-    r = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    supersteps = 0
-    first = True
-    trickle = max(8, g.n // 64)
-    while supersteps < max_supersteps:
-        _, n_active, _ = frontier_stats(r, deg_q, r_max)
-        frontier, rest = split_active(r, deg_q, r_max)
-        if not first:
-            # the source's residue accumulates instead of being re-pushed
-            rest = rest.unionByName(frontier.where(F.col("node") == s))
-            frontier = frontier.where(F.col("node") != s)
-            cnt = frontier.count()
-            if cnt == 0:
-                break
-            if cnt <= trickle:
-                # sparse tail: drain on the driver (source still excluded)
-                pi = materialize(pi)
-                pi, r, _ = finish_on_driver(g, s, pi, r, r_max, alpha, exclude=s)
-                break
-        elif n_active == 0:
+    st = PushState(g, s, alpha=alpha, max_supersteps=max_supersteps)
+    trickle = trickle_size(g.n)
+    exclude = None  # the source's own first push
+    while True:
+        _, n_active, _ = frontier_stats(st, r_max, exclude)
+        if n_active == 0:
             break
-        pi = vec_add(pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        msgs = push_msgs(frontier, adj, alpha)
-        r = materialize(vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
-        supersteps += 1
-        if supersteps % 4 == 0:
-            pi = materialize(pi)
-        first = False
-    pi = materialize(pi)
+        if exclude is not None and n_active <= trickle:
+            # sparse tail: drain on the driver (source still excluded)
+            st.absorb(finish_on_driver(g, s, st.pi, st.r, r_max, alpha, exclude=s))
+            break
+        superstep(st, r_max, exclude)
+        # from now on the source's residue accumulates instead of being re-pushed
+        exclude = s
+    push = st.result("ResAcc")
 
-    r_s_row = r.where(F.col("node") == s).collect()
+    r_s_row = push.r.where(F.col("node") == s).collect()
     r_s = float(r_s_row[0]["r"]) if r_s_row else 0.0
-    r_no_s = r.where(F.col("node") != s)
+    r_no_s = push.r.where(F.col("node") != s)
     pi_refined, walks_used = refine_with_walks(
-        g, s, pi, r_no_s, W, alpha=alpha, seed=seed, index=None
+        g, s, push.pi, r_no_s, W, alpha=alpha, seed=seed, index=None
     )
     scale = 1.0 / (1.0 - r_s)
     pi_final = pi_refined.select("node", (F.col("pi") * F.lit(scale)).alias("pi")).cache()
     pi_final.count()
-    adj.unpersist()
-    deg_q.unpersist()
-    return PPRResult(
-        pi=pi_final,
-        r=r,
-        stats={
-            "algorithm": "ResAcc",
-            "num_walks": W,
-            "walks_used": walks_used,
-            "source_residue": r_s,
-            "push_supersteps": supersteps,
-            "wall_time": time.perf_counter() - t0,
-        },
+    return ppr_result(
+        "ResAcc", t0, pi_final, push.r, push.stats,
+        num_walks=W, walks_used=walks_used, source_residue=r_s,
     )

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import time
 
-from pyspark.sql import functions as F
-
 from repro.core.approx_common import refine_with_walks
-from repro.core.common import PPRResult
+from repro.core.common import PPRResult, ppr_result
 from repro.core.montecarlo import monte_carlo, num_walks
 from repro.core.powerpush import powerpush
 from repro.core.walk_index import WalkIndex
@@ -42,16 +40,7 @@ def speedppr(
     pi, walks_used = refine_with_walks(
         g, s, push.pi, push.r, W, alpha=alpha, seed=seed, index=index
     )
-    return PPRResult(
-        pi=pi,
-        r=push.r,
-        stats={
-            "algorithm": "SpeedPPR-Index" if index is not None else "SpeedPPR",
-            "num_walks": W,
-            "walks_used": walks_used,
-            "lambda": lam,
-            "push_supersteps": push.stats["supersteps"],
-            "push_edge_pushes": push.stats["edge_pushes"],
-            "wall_time": time.perf_counter() - t0,
-        },
+    return ppr_result(
+        "SpeedPPR-Index" if index is not None else "SpeedPPR", t0, pi, push.r, push.stats,
+        num_walks=W, walks_used=walks_used, lam=lam,
     )

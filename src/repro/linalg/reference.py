@@ -100,6 +100,60 @@ def sim_fwdpush(csr: CSR, s: int, alpha: float = 0.2, lam: float = 1e-8) -> tupl
 
 
 # ----------------------------------------------------------------------
+# The one FIFO push body
+# ----------------------------------------------------------------------
+class _PushBody:
+    """Push one node in place, for every queue and scan loop below.
+
+    A push of ``v`` moves ``α·r(v)`` to ``π(v)`` and shares ``(1−α)·r(v)``
+    over its out-edges (a dead end has one virtual edge back to ``s``).
+    Given a queue, it then enqueues each target made active w.r.t.
+    ``threshold``, except ``exclude`` (a node whose residue accumulates
+    instead of being pushed — ResAcc's source).
+    """
+
+    def __init__(self, csr: CSR, s: int, alpha: float, pi: np.ndarray, r: np.ndarray) -> None:
+        self.s, self.alpha, self.pi, self.r = s, alpha, pi, r
+        self.indptr, self.indices = csr.indptr, csr.indices
+        self.d_true = csr.out_degrees()
+        self.d_eff = csr.effective_degrees()
+        self.in_q = np.zeros(csr.n, dtype=bool)
+
+    def new_queue(self, nodes) -> deque[int]:
+        self.in_q[:] = False
+        q: deque[int] = deque(int(v) for v in nodes)
+        self.in_q[list(q)] = True
+        return q
+
+    def pop(self, q: deque[int]) -> int:
+        v = q.popleft()
+        self.in_q[v] = False
+        return v
+
+    def __call__(
+        self, v: int, threshold: float, q: deque[int] | None = None, exclude: int | None = None
+    ) -> tuple[float, int]:
+        """Push ``v``; returns ``(r(v) before the push, edge pushes)``."""
+        r = self.r
+        rv = r[v]
+        self.pi[v] += self.alpha * rv
+        r[v] = 0.0  # zero first: a dead end v may be s (virtual self-loop)
+        if self.d_true[v] == 0:
+            targets, pushes = np.array([self.s]), 1
+            r[self.s] += (1.0 - self.alpha) * rv
+        else:
+            targets, pushes = self.indices[self.indptr[v] : self.indptr[v + 1]], int(self.d_true[v])
+            r[targets] += (1.0 - self.alpha) * rv / self.d_true[v]  # distinct (edges deduplicated)
+        if q is not None:
+            newly = targets[(r[targets] > self.d_eff[targets] * threshold) & ~self.in_q[targets]]
+            for u in np.unique(newly):
+                if u != exclude:
+                    q.append(int(u))
+                    self.in_q[u] = True
+        return rv, pushes
+
+
+# ----------------------------------------------------------------------
 # FIFO Forward Push (Algorithm 2)
 # ----------------------------------------------------------------------
 def fifo_fwdpush(
@@ -116,43 +170,18 @@ def fifo_fwdpush(
     if r_max is None:
         r_max = lam / csr.m
     stats = RunStats("FIFO-FwdPush")
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    d_true = csr.out_degrees()
-    d_eff = csr.effective_degrees()
-    r = np.zeros(n)
+    r = np.zeros(csr.n)
     r[s] = 1.0
-    pi = np.zeros(n)
+    pi = np.zeros(csr.n)
     r_sum = 1.0
-    in_q = np.zeros(n, dtype=bool)
-    q: deque[int] = deque()
-    q.append(s)
-    in_q[s] = True
+    push = _PushBody(csr, s, alpha, pi, r)
+    q = push.new_queue([s])
     sample_every = _trace_every(csr.m)
     next_sample = sample_every
     while q:
-        v = q.popleft()
-        in_q[v] = False
-        rv = r[v]
-        pi[v] += alpha * rv
+        rv, pushes = push(push.pop(q), r_max, q)
         r_sum -= alpha * rv
-        if d_true[v] == 0:  # dead end: one virtual edge back to s
-            r[v] = 0.0  # zero first: v may equal s (virtual self-loop)
-            r[s] += (1.0 - alpha) * rv
-            if r[s] > d_eff[s] * r_max and not in_q[s]:
-                q.append(s)
-                in_q[s] = True
-            stats.edge_pushes += 1
-        else:
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            r[v] = 0.0
-            share = (1.0 - alpha) * rv / d_true[v]
-            r[nbrs] += share  # nbrs are distinct (edges deduplicated)
-            newly = nbrs[(r[nbrs] > d_eff[nbrs] * r_max) & ~in_q[nbrs]]
-            for u in np.unique(newly):
-                q.append(int(u))
-                in_q[u] = True
-            stats.edge_pushes += int(d_true[v])
+        stats.edge_pushes += pushes
         if stats.edge_pushes >= next_sample:
             stats.trace.append((stats.edge_pushes, r_sum))
             next_sample += sample_every
@@ -180,37 +209,11 @@ def fifo_finish(
     inputs are not mutated."""
     pi = pi.copy()
     r = r.copy()
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    d_true = csr.out_degrees()
-    d_eff = csr.effective_degrees()
-    in_q = np.zeros(n, dtype=bool)
-    active0 = np.flatnonzero(r > d_eff * r_max)
-    q: deque[int] = deque(int(v) for v in active0 if v != exclude)
-    in_q[list(q)] = True
+    push = _PushBody(csr, s, alpha, pi, r)
+    q = push.new_queue(v for v in np.flatnonzero(r > push.d_eff * r_max) if v != exclude)
     pushes = 0
     while q:
-        v = q.popleft()
-        in_q[v] = False
-        rv = r[v]
-        pi[v] += alpha * rv
-        if d_true[v] == 0:
-            r[v] = 0.0
-            r[s] += (1.0 - alpha) * rv
-            if r[s] > d_eff[s] * r_max and not in_q[s] and s != exclude:
-                q.append(s)
-                in_q[s] = True
-            pushes += 1
-        else:
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            r[v] = 0.0
-            r[nbrs] += (1.0 - alpha) * rv / d_true[v]
-            newly = nbrs[(r[nbrs] > d_eff[nbrs] * r_max) & ~in_q[nbrs]]
-            for u in np.unique(newly):
-                if u != exclude:
-                    q.append(int(u))
-                    in_q[u] = True
-            pushes += int(d_true[v])
+        pushes += push(push.pop(q), r_max, q, exclude)[1]
     return pi, r, pushes
 
 
@@ -239,56 +242,29 @@ def powerpush(
     if scan_threshold is None:
         scan_threshold = max(1, csr.n // 4)
     stats = RunStats("PowerPush")
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    d_true = csr.out_degrees()
-    d_eff = csr.effective_degrees()
-    r = np.zeros(n)
+    r = np.zeros(csr.n)
     r[s] = 1.0
-    pi = np.zeros(n)
+    pi = np.zeros(csr.n)
     r_sum = 1.0
     r_max = lam / csr.m
+    body = _PushBody(csr, s, alpha, pi, r)
+    d_eff = body.d_eff
     sample_every = _trace_every(csr.m)
     next_sample = sample_every
 
-    def _sample() -> None:
-        nonlocal next_sample
+    def _push(v: int, threshold: float, q: deque | None = None) -> None:
+        nonlocal r_sum, next_sample
+        rv, pushes = body(v, threshold, q)
+        r_sum -= alpha * rv
+        stats.edge_pushes += pushes
         if stats.edge_pushes >= next_sample:
             stats.trace.append((stats.edge_pushes, max(r_sum, 0.0)))
             next_sample += sample_every
 
-    def _push(v: int, threshold: float, q: deque | None, in_q: np.ndarray | None) -> None:
-        nonlocal r_sum
-        rv = r[v]
-        pi[v] += alpha * rv
-        r_sum -= alpha * rv
-        if d_true[v] == 0:
-            r[v] = 0.0
-            r[s] += (1.0 - alpha) * rv
-            if q is not None and r[s] > d_eff[s] * threshold and not in_q[s]:
-                q.append(s)
-                in_q[s] = True
-            stats.edge_pushes += 1
-        else:
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            r[v] = 0.0
-            r[nbrs] += (1.0 - alpha) * rv / d_true[v]
-            if q is not None:
-                newly = nbrs[(r[nbrs] > d_eff[nbrs] * threshold) & ~in_q[nbrs]]
-                for u in np.unique(newly):
-                    q.append(int(u))
-                    in_q[u] = True
-            stats.edge_pushes += int(d_true[v])
-        _sample()
-
     # ---- queue (local) phase: Algorithm 3 lines 7–13 ----
-    in_q = np.zeros(n, dtype=bool)
-    q: deque[int] = deque([s])
-    in_q[s] = True
+    q = body.new_queue([s])
     while q and len(q) <= scan_threshold and r_sum > lam:
-        v = q.popleft()
-        in_q[v] = False
-        _push(v, r_max, q, in_q)
+        _push(body.pop(q), r_max, q)
 
     # ---- scan (global) phase: Algorithm 3 lines 14–24 ----
     if r_sum > lam:
@@ -302,17 +278,13 @@ def powerpush(
                     # asynchronous: re-check activity (a push earlier in this
                     # scan may have raised or drained v's residue)
                     if r[v] > d_eff[v] * r_max_i:
-                        _push(int(v), r_max_i, None, None)
+                        _push(int(v), r_max_i)
 
     # ---- optional refinement to a no-active state (Remark / SpeedPPR) ----
     if refine_r_max is not None:
-        in_q = np.zeros(n, dtype=bool)
-        q = deque(int(v) for v in np.flatnonzero(r > d_eff * refine_r_max))
-        in_q[list(q)] = True
+        q = body.new_queue(np.flatnonzero(r > d_eff * refine_r_max))
         while q:
-            v = q.popleft()
-            in_q[v] = False
-            _push(v, refine_r_max, q, in_q)
+            _push(body.pop(q), refine_r_max, q)
 
     stats.trace.append((stats.edge_pushes, max(r_sum, 0.0)))
     stats.wall_time = time.perf_counter() - t0

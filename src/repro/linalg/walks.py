@@ -21,52 +21,21 @@ MAX_STEPS_DEFAULT = 130
 
 def simulate_endpoints(
     csr: CSR,
-    s: int,
-    starts: np.ndarray,
-    alpha: float,
-    rng: np.random.Generator,
-    max_steps: int = MAX_STEPS_DEFAULT,
-) -> np.ndarray:
-    """Endpoints of ``len(starts)`` α-random walks (one per entry)."""
-    cur = np.asarray(starts, dtype=np.int64).copy()
-    alive = np.ones(cur.size, dtype=bool)
-    indptr, indices = csr.indptr, csr.indices
-    for _ in range(max_steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        stop = rng.random(idx.size) < alpha
-        alive[idx[stop]] = False
-        moving = idx[~stop]
-        if moving.size == 0:
-            continue
-        v = cur[moving]
-        deg = indptr[v + 1] - indptr[v]
-        dead = deg == 0
-        choice = (rng.random(moving.size) * np.where(dead, 1, deg)).astype(np.int64)
-        pos = np.minimum(indptr[v] + choice, indices.size - 1) if indices.size else np.zeros_like(choice)
-        nxt = indices[pos] if indices.size else np.full(moving.size, s, dtype=np.int64)
-        cur[moving] = np.where(dead, s, nxt)
-    return cur
-
-
-def simulate_endpoints_indexable(
-    csr: CSR,
+    s: int | None,
     starts: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
     max_steps: int = MAX_STEPS_DEFAULT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Source-independent walk simulation, for pre-computed walk indexes.
+    """Endpoints of ``len(starts)`` α-random walks (one per entry), and
+    which of them are ``pending``.
 
-    The jump-back-to-source rule makes walks source-dependent as soon as
-    they reach a dead end and decide to *move* — at index time the source
-    is unknown. Such walks are frozen at the dead end and flagged
-    ``pending``; at query time one fresh α-walk from the actual source
-    finishes each pending walk (the continuation's law is exactly the
-    walk-from-s law, so the estimate stays unbiased).
-
-    Returns ``(endpoints, pending)``.
+    A walk that is at a dead end and moves jumps back to the source ``s``.
+    With ``s=None`` (walk indexes, built before any source is known) it is
+    frozen at the dead end and flagged pending instead; at query time one
+    fresh α-walk from the actual source finishes each pending walk (the
+    continuation's law is exactly the walk-from-s law, so the estimate
+    stays unbiased). With ``s`` given no walk is pending.
     """
     cur = np.asarray(starts, dtype=np.int64).copy()
     alive = np.ones(cur.size, dtype=bool)
@@ -79,18 +48,17 @@ def simulate_endpoints_indexable(
         stop = rng.random(idx.size) < alpha
         alive[idx[stop]] = False
         moving = idx[~stop]
+        dead = indptr[cur[moving] + 1] == indptr[cur[moving]]
+        if s is None:
+            pending[moving[dead]] = True
+            alive[moving[dead]] = False
+            moving, dead = moving[~dead], dead[~dead]
         if moving.size == 0:
             continue
         v = cur[moving]
         deg = indptr[v + 1] - indptr[v]
-        dead = deg == 0
-        pending[moving[dead]] = True
-        alive[moving[dead]] = False
-        moving = moving[~dead]
-        if moving.size == 0:
-            continue
-        v = cur[moving]
-        deg = indptr[v + 1] - indptr[v]
-        choice = (rng.random(moving.size) * deg).astype(np.int64)
-        cur[moving] = indices[indptr[v] + choice]
+        choice = (rng.random(moving.size) * np.where(dead, 1, deg)).astype(np.int64)
+        pos = np.minimum(indptr[v] + choice, indices.size - 1) if indices.size else np.zeros_like(choice)
+        nxt = indices[pos] if indices.size else np.full(moving.size, s, dtype=np.int64)
+        cur[moving] = nxt if s is None else np.where(dead, s, nxt)
     return cur, pending

@@ -1,5 +1,6 @@
-"""Unit tests for the shared distributed-vector helpers (core.common) and
-small kernels (bepi.index.coo_matvec)."""
+"""Unit tests for the shared distributed-vector helpers and the push
+engine's frontier API (core.common), and small kernels
+(bepi.index.coo_matvec)."""
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -7,6 +8,7 @@ from pyspark.sql import functions as F
 from repro.bepi.index import coo_matvec
 from repro.core.common import (
     PPRResult,
+    PushState,
     empty_vec,
     frontier_stats,
     materialize,
@@ -80,23 +82,29 @@ class TestPushKernel:
 
 
 class TestFrontier:
+    @staticmethod
+    def _state(g, r):
+        st = PushState(g, 0, alpha=0.2)
+        st.r = r
+        return st
+
     def test_split_active_rule(self, spark, fig1):
         # figure-1 degrees: v1=2, v2=4; with r_max=0.099: 0.3 > 2·0.099
         # activates v1, 0.3 ≤ 4·0.099 leaves v2 inactive
         r = spark.createDataFrame([(0, 0.3), (1, 0.3)], "node long, r double")
-        active, inactive = split_active(r, fig1.degrees, 0.099)
+        active, inactive = split_active(self._state(fig1, r), 0.099)
         assert [x["node"] for x in active.collect()] == [0]
         assert [x["node"] for x in inactive.collect()] == [1]
 
     def test_frontier_stats_matches_split(self, spark, fig1):
         r = spark.createDataFrame([(0, 0.3), (1, 0.3), (4, 0.01)], "node long, r double")
-        r_sum, n_active, deg_active = frontier_stats(r, fig1.degrees, 0.099)
+        r_sum, n_active, deg_active = frontier_stats(self._state(fig1, r), 0.099)
         assert r_sum == pytest.approx(0.61)
         assert n_active == 1 and deg_active == 2
 
     def test_frontier_stats_empty(self, spark, fig1):
         r_sum, n_active, deg_active = frontier_stats(
-            empty_vec(spark, "r"), fig1.degrees, 0.1
+            self._state(fig1, empty_vec(spark, "r")), 0.1
         )
         assert (r_sum, n_active, deg_active) == (0.0, 0, 0)
 

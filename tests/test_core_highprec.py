@@ -1,6 +1,7 @@
 """Tests for the distributed high-precision algorithms (PowItr,
 FIFO-FwdPush, SimFwdPush, PowerPush) against the exact ground truth, the
-instrumented references, and each other (Lemma 4.1).
+instrumented references, and each other (Lemma 4.1); and for the push
+engine under them (superstep cap, Spark jobs per superstep).
 
 Each (algorithm, graph) run is expensive (tens of supersteps), so runs are
 computed once in module-scoped fixtures and shared across assertions.
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core import fifo_fwdpush, powerpush, powitr, sim_fwdpush
+from repro.core.common import PI_CHECKPOINT_EVERY
+from repro.core.resacc import resacc
 from repro.graphs.generators import chung_lu, figure1_graph, with_dead_ends
 from repro.linalg import reference
 from repro.linalg.exact import exact_ppr, l1_error
@@ -68,8 +71,23 @@ def pp_fig1(fig1):
 
 
 @pytest.fixture(scope="module")
-def pp_cl(cl):
-    return powerpush(cl, 0, lam=1e-3)
+def pp_cl_jobs(spark, cl):
+    """The ``pp_cl`` run and the number of Spark jobs it started."""
+    sc = spark.sparkContext
+    group = "test-powerpush-cl"
+    sc.setJobGroup(group, "powerpush on cl")
+    try:
+        res = powerpush(cl, 0, lam=1e-3)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # job ids reach the status store through the listener bus
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return res, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.fixture(scope="module")
+def pp_cl(pp_cl_jobs):
+    return pp_cl_jobs[0]
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +107,7 @@ class TestDistributedPowItr:
 
     def test_residual_geometric(self, powitr_fig1):
         assert powitr_fig1.stats["r_sum"] == pytest.approx(
-            (1 - ALPHA) ** powitr_fig1.stats["iterations"], rel=1e-9
+            (1 - ALPHA) ** powitr_fig1.stats["supersteps"], rel=1e-9
         )
 
     def test_dead_end_graph(self, deadg):
@@ -169,3 +187,37 @@ class TestDistributedPowerPush:
         updates than the rigid push-everything schedule (and usually
         fewer). Supersteps may grow — pushes must not."""
         assert pp_cl.stats["edge_pushes"] <= sim_cl.stats["edge_pushes"] * 1.2
+
+
+class TestPushEngine:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g: fifo_fwdpush(g, 0, lam=1e-3, max_supersteps=1),
+            lambda g: sim_fwdpush(g, 0, lam=1e-3, max_supersteps=1),
+            lambda g: powerpush(g, 0, lam=1e-3, max_supersteps=1),
+            # from source 0 (degree 5) ResAcc's first push leaves a 5-node
+            # frontier, which the driver drains; the top-degree node's does not
+            lambda g: resacc(
+                g, int(np.argmax(g.to_csr().out_degrees())), eps=0.3, max_supersteps=1
+            ),
+        ],
+        ids=["fifo_fwdpush", "sim_fwdpush", "powerpush", "resacc"],
+    )
+    def test_superstep_cap_raises(self, cl, run):
+        """No method stops silently at ``max_supersteps``: each needs more
+        than one superstep here, so a cap of one must raise."""
+        with pytest.raises(RuntimeError, match="superstep limit"):
+            run(cl)
+
+    def test_powerpush_job_budget(self, pp_cl_jobs):
+        """Two Spark jobs per superstep (its stats action and its residue
+        checkpoint), one per π checkpoint, and a fixed number per query:
+        the start vectors (2), the one stats action after each phase and
+        epoch that ends it (1 + epochNum at most), π's final checkpoint
+        (1). A stats action run twice on one residue vector breaks this."""
+        res, jobs = pp_cl_jobs
+        steps = res.stats["supersteps"]
+        fixed = 2 + (1 + 8) + 1
+        assert steps > 1
+        assert jobs <= 2 * steps + steps // PI_CHECKPOINT_EVERY + fixed
