@@ -1,39 +1,12 @@
-"""Shared session bootstrap for the spark-submit job entrypoints.
+"""Shared bootstrap for the spark-submit job entrypoints.
 
 Jobs are thin wrappers: every harness is a function taking a SparkSession
-(in ``repro.experiments``); this module builds the session with the same
-knobs the test conftest uses. ``spark.driver.memory`` is only honoured at
-JVM launch, so it must be injected into ``PYSPARK_SUBMIT_ARGS`` *before*
-pyspark is imported — importing this module first does that.
+(in ``repro.experiments``), and :func:`repro.session.session` builds it
+exactly as the tests' session fixture does.
 """
 import os
 
-os.environ.setdefault("SPARK_DRIVER_MEM", "8g")
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    "--conf spark.driver.host=127.0.0.1 "
-    "--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
-
-from pyspark.sql import SparkSession  # noqa: E402
-
-
-def session(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("REPRO_SHUFFLE", "1"))
-        .config("spark.sql.adaptive.enabled", "false")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        # unknown-size checkpointed relations default to Long.MaxValue,
-        # whose per-join products explode into huge BigInts in the stats
-        # visitor; broadcast planning is disabled anyway, so cap it
-        .config("spark.sql.defaultSizeInBytes", str(1 << 30))
-        .getOrCreate()
-    )
+from repro.session import session  # noqa: F401  (the jobs import it from here)
 
 
 def scale() -> float:

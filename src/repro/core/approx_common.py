@@ -4,8 +4,9 @@ state ``(π̂, r)`` with α-random walks started from the residues (Eq. 13/14).
 For every node ``v`` with ``r(s,v) > 0``, ``W_v = ⌈r(s,v)·W⌉`` walks are
 performed (read from a :class:`~repro.core.walk_index.WalkIndex` when one
 is given), each carrying weight ``r(s,v)/W_v``; the weighted endpoint mass
-is added to ``π̂``. Pending index walks (frozen at dead ends) are finished
-with fresh walks from the actual source.
+is added to ``π̂``. An index that holds fewer than ``Σ W_v`` of the walks
+asked for raises instead of dropping mass. Pending index walks (frozen at
+dead ends) are finished with fresh walks from the actual source.
 """
 from __future__ import annotations
 
@@ -67,8 +68,19 @@ def refine_with_walks(
             .where(F.col("walk_idx") <= F.col("W_v"))
             .select("start", "weight", "endpoint", "pending")
         ).cache()
+        # one action reads the supply and the weights of the pending walks
+        row = used.agg(
+            F.count("*").alias("supplied"),
+            F.collect_list(F.when(F.col("pending"), F.col("weight"))).alias("pend"),
+        ).collect()[0]
+        if row["supplied"] < total_walks:
+            used.unpersist()
+            starts.unpersist()
+            raise RuntimeError(
+                f"walk index {index.path!r} supplied {row['supplied']} of the {total_walks} walks needed"
+            )
         done = weighted_endpoint_mass(used.where(~F.col("pending")))
-        pend = used.where(F.col("pending")).select("weight").toPandas()
+        pend = np.asarray(row["pend"], dtype=np.float64)
         if len(pend):
             # finish frozen walks: their continuation is a fresh α-walk
             # from the query source
@@ -76,7 +88,7 @@ def refine_with_walks(
             ends, _ = simulate_endpoints(
                 g.to_csr(), int(s), np.full(len(pend), s, dtype=np.int64), alpha, rng
             )
-            pdf = pd.DataFrame({"node": ends, "pi": pend["weight"].to_numpy()})
+            pdf = pd.DataFrame({"node": ends, "pi": pend})
             pend_df = g.spark.createDataFrame(pdf.groupby("node", as_index=False).sum())
             contrib = vec_add(done, pend_df, "pi")
         else:

@@ -3,18 +3,19 @@ the one push-superstep engine.
 
 Vectors over nodes are sparse DataFrames ``(node: long, <col>: double)``;
 zero coordinates are simply absent. One *push superstep* over the
-degree-annotated adjacency ``adj = (src, dst, deg)`` computes
+graph's cached, degree-annotated adjacency ``adj = (src, dst, deg)``
+(:meth:`~repro.graphs.graph.Graph.query_view`) computes
 
     msgs(dst) = Σ_{(src,dst) ∈ E, src pushed} (1−α) · r(src) / deg(src)
 
-— the distributed form of Eq. (8). PowItr, SimFwdPush, FIFO-FwdPush,
-PowerPush and ResAcc all run this one :func:`superstep` over a
-:class:`PushState`; they differ only in schedule: the threshold of each
-phase, the stop rule, and when the sparse tail goes to the driver
-(:mod:`repro.core.driver_tail`). Lineage is truncated with eager
-``localCheckpoint``: ``r`` every superstep (it feeds the next join), ``π``
-every :data:`PI_CHECKPOINT_EVERY` supersteps (the vectors are small; the
-edge relation is the big, cached side).
+— the distributed form of Eq. (8); a dead end's ``NULL`` destination is
+the source. PowItr, SimFwdPush, FIFO-FwdPush, PowerPush and ResAcc all run
+this one :func:`superstep` over a :class:`PushState`; they differ only in
+schedule: the threshold of each phase, the stop rule, and when the sparse
+tail goes to the driver (:mod:`repro.core.driver_tail`). Lineage is
+truncated with eager ``localCheckpoint``: ``r`` every superstep (it feeds
+the next join), ``π`` every :data:`PI_CHECKPOINT_EVERY` supersteps (the
+vectors are small; the edge relation is the big, cached side).
 """
 from __future__ import annotations
 
@@ -90,13 +91,14 @@ def vec_scale(a: DataFrame, factor: float, col: str) -> DataFrame:
     return a.select("node", (F.col(col) * F.lit(factor)).alias(col))
 
 
-def push_msgs(frontier: DataFrame, adj: DataFrame, alpha: float) -> DataFrame:
+def push_msgs(frontier: DataFrame, adj: DataFrame, alpha: float, s: int) -> DataFrame:
     """Messages produced by pushing every node in ``frontier`` (node, r):
-    each out-neighbour receives ``(1−α)·r/deg``. Returns sparse (node, r)."""
+    each out-neighbour receives ``(1−α)·r/deg``, and a dead end's virtual
+    edge (``dst`` NULL) sends it to the source ``s``. Returns sparse (node, r)."""
     return (
         frontier.join(adj, frontier["node"] == adj["src"])
         .select(
-            F.col("dst").alias("node"),
+            F.coalesce("dst", F.lit(int(s))).alias("node"),
             ((1.0 - alpha) * F.col("r") / F.col("deg")).alias("r"),
         )
         .groupBy("node")
@@ -124,19 +126,20 @@ def trickle_size(n: int) -> int:
 # The push-superstep engine
 # ----------------------------------------------------------------------
 class PushState:
-    """One query's push state: the cached ``adj``/``deg_q`` view, ``r = e_s``
-    and ``π = 0`` to start with, and the superstep and edge-push counters.
+    """One query's push state over the graph's shared ``adj``/``deg_q``
+    view: ``r = e_s`` and ``π = 0`` to start with (local relations; no job
+    runs before the first push), and the superstep and edge-push counters.
 
-    Setting ``r`` drops the :func:`frontier_stats` kept for the old vector.
+    Setting ``r`` drops the :func:`frontier_stats` kept for the old vector
+    and the known ``Σ r``.
     """
 
     def __init__(self, g: Graph, s: int, *, alpha: float, max_supersteps: int = MAX_SUPERSTEPS) -> None:
         self.t0 = time.perf_counter()
-        self.g, self.alpha, self.max_supersteps = g, alpha, max_supersteps
-        adj, deg_q = g.query_view(s)
-        self.adj, self.deg_q = adj.cache(), deg_q.cache()
-        self.r = materialize(unit_vec(g.spark, s, "r"))
-        self.pi = materialize(empty_vec(g.spark, "pi"))
+        self.g, self.s, self.alpha, self.max_supersteps = g, s, alpha, max_supersteps
+        self.adj, self.deg_q = g.query_view()
+        self.r = unit_vec(g.spark, s, "r")
+        self.pi = empty_vec(g.spark, "pi")
         self.pi_lazy = False  # π holds additions made since its last checkpoint
         self.supersteps = 0
         self.edge_pushes = 0
@@ -149,28 +152,23 @@ class PushState:
     def r(self, df: DataFrame) -> None:
         self._r = df
         self.kept_stats: dict[tuple, tuple[float, int, int]] = {}  # by (threshold, exclude)
+        self.r_sum: float | None = None  # Σ r, once an action or the driver has read it
 
-    def known_r_sum(self) -> float | None:
-        """``Σ r`` if a stats action ran on the current ``r`` (it does not
-        depend on the threshold), else None."""
-        return next(iter(self.kept_stats.values()))[0] if self.kept_stats else None
-
-    def absorb(self, tail: tuple[DataFrame, DataFrame, int]) -> None:
-        """Take over the ``(π, r, edge_pushes)`` a driver-side finish returned."""
-        self.pi, self.r, pushes = tail
+    def absorb(self, tail: tuple[DataFrame, DataFrame, int, float]) -> None:
+        """Take over the ``(π, r, edge_pushes, r_sum)`` a driver-side finish returned."""
+        self.pi, self.r, pushes, r_sum = tail
+        self.r_sum = r_sum
         self.pi_lazy = False
         self.edge_pushes += pushes
 
     def result(self, algorithm: str, **extras) -> PPRResult:
-        """Checkpoint π, read ``r_sum`` (one aggregate unless already known)
-        and release the query's cached view."""
+        """Checkpoint π if it is lazy and read ``r_sum`` (one aggregate
+        unless already known)."""
         if self.pi_lazy:
             self.pi = materialize(self.pi)
-        r_sum = self.known_r_sum()
+        r_sum = self.r_sum
         if r_sum is None:
             r_sum = float(self.r.groupBy().sum("r").collect()[0][0] or 0.0)
-        self.adj.unpersist()
-        self.deg_q.unpersist()
         work = {"supersteps": self.supersteps, "edge_pushes": self.edge_pushes, "r_sum": r_sum}
         return ppr_result(algorithm, self.t0, self.pi, self.r, work, **extras)
 
@@ -199,6 +197,7 @@ def frontier_stats(state: PushState, threshold: float, exclude: int | None = Non
             .collect()[0]
         )
         state.kept_stats[key] = (float(row["rs"] or 0.0), int(row["na"] or 0), int(row["da"] or 0))
+        state.r_sum = state.kept_stats[key][0]
     return state.kept_stats[key]
 
 
@@ -229,7 +228,7 @@ def superstep(state: PushState, threshold: float = 0.0, exclude: int | None = No
         pushes = frontier_stats(state, threshold, exclude)[2]
         frontier, rest = split_active(state, threshold, exclude)
     state.pi = vec_add(state.pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-    msgs = push_msgs(frontier, state.adj, alpha)
+    msgs = push_msgs(frontier, state.adj, alpha, state.s)
     state.r = materialize(msgs if rest is None else vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
     state.supersteps += 1
     state.edge_pushes += pushes

@@ -38,13 +38,13 @@ def finish_on_driver(
     r_max: float,
     alpha: float,
     exclude: int | None = None,
-) -> tuple[DataFrame, DataFrame, int]:
+) -> tuple[DataFrame, DataFrame, int, float]:
     """FIFO-push the state ``(π̂, r)`` until no node is active w.r.t.
     ``r_max`` (``exclude``: node whose residue accumulates un-pushed —
-    ResAcc's source); returns ``(pi_df, r_df, edge_pushes)`` as fresh
-    sparse DataFrames."""
+    ResAcc's source); returns ``(pi_df, r_df, edge_pushes, r_sum)``, the
+    vectors as fresh sparse DataFrames."""
     pi = _to_dense(pi_df, g.n, "pi")
     r = _to_dense(r_df, g.n, "r")
     pi, r, pushes = fifo_finish(g.to_csr(), s, alpha, r_max, pi, r, exclude=exclude)
     spark = g.spark
-    return _to_sparse_df(spark, pi, "pi"), _to_sparse_df(spark, r, "r"), pushes
+    return _to_sparse_df(spark, pi, "pi"), _to_sparse_df(spark, r, "r"), pushes, float(r.sum())

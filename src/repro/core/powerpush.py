@@ -72,8 +72,7 @@ def powerpush(
             while True:
                 # r_sum does not depend on the threshold: an epoch whose
                 # target the known r_sum already meets needs no action
-                known = st.known_r_sum()
-                if known is not None and known <= g.m * r_max_i:
+                if st.r_sum is not None and st.r_sum <= g.m * r_max_i:
                     break
                 r_sum, n_active, _ = frontier_stats(st, r_max_i)
                 if r_sum <= g.m * r_max_i or n_active == 0:

@@ -61,12 +61,10 @@ class WalkIndex:
 def _capacity_counts(g: Graph, policy: str, eps: float | None, mu: float | None) -> DataFrame:
     """(node, K) — walks to pre-generate per node under ``policy``.
 
-    Degrees are *effective* (dead ends count their virtual edge), matching
-    the bound ``W_v ≤ d_v`` used at query time.
+    Degrees are the push view's *effective* ones (dead ends count their
+    virtual edge), matching the bound ``W_v ≤ d_v`` used at query time.
     """
-    deg_eff = g.degrees.select(
-        "node", F.when(F.col("deg") == 0, F.lit(1)).otherwise(F.col("deg")).alias("deg")
-    )
+    _, deg_eff = g.query_view()
     if policy == "speedppr":
         return deg_eff.select("node", F.col("deg").cast("long").alias("K"))
     if policy == "fora":

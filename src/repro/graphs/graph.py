@@ -13,9 +13,10 @@ no out-edges) are removed, and the remaining node ids are relabelled to the
 dense range ``0..n-1``.
 
 Dead-end semantics (paper §2): a walk at a node with no out-neighbours jumps
-back to the *source* ``s``. :meth:`Graph.query_view` materialises this as
-virtual edges ``(dead, s)`` with degree 1 so that every algorithm — push,
-power iteration, walks, exact solve — shares one rule.
+back to the *source* ``s``. :meth:`Graph.query_view` holds this as one
+virtual edge ``(dead, NULL)`` with degree 1 per dead end; the push kernel
+resolves ``NULL`` to the query's source, so every algorithm — push, power
+iteration, walks, exact solve — shares one rule and one cached view.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ class Graph:
     n: int
     m: int
     _csr_cache: CSR | None = field(default=None, repr=False, compare=False)
+    _view_cache: tuple[DataFrame, DataFrame] | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -118,24 +120,26 @@ class Graph:
         """Nodes with out-degree 0 — ``(node,)``."""
         return self.degrees.where(F.col("deg") == 0).select("node")
 
-    def query_view(self, s: int) -> tuple[DataFrame, DataFrame]:
-        """``(adj, degrees_q)`` for a query rooted at source ``s``.
+    def query_view(self) -> tuple[DataFrame, DataFrame]:
+        """``(adj, deg_q)``, the push view every query shares; cached.
 
-        ``adj`` is ``(src, dst, deg)`` — the edge relation pre-joined with
-        the *effective* out-degree, augmented with one virtual edge
-        ``(dead, s)`` per dead-end node (paper's jump-back-to-source rule).
-        ``degrees_q`` is ``(node, deg)`` with dead ends at degree 1.
+        ``deg_q`` is ``(node, deg)`` with the *effective* out-degree (dead
+        ends 1). ``adj`` is ``(src, dst, deg)``: the edges joined with
+        ``deg_q``, plus one row ``(dead, NULL, 1)`` per dead end, the jump
+        back to the source that :func:`repro.core.common.push_msgs` resolves.
         """
-        dead = self.dead_ends()
-        degrees_q = self.degrees.select(
-            "node", F.when(F.col("deg") == 0, F.lit(1)).otherwise(F.col("deg")).alias("deg")
-        )
-        virt = dead.select(F.col("node").alias("src"), F.lit(int(s)).cast("long").alias("dst"))
-        edges_q = self.edges.unionByName(virt)
-        adj = edges_q.join(degrees_q.withColumnRenamed("node", "src"), "src").select(
-            "src", "dst", "deg"
-        )
-        return adj, degrees_q
+        if self._view_cache is None:
+            deg_q = self.degrees.select(
+                "node", F.when(F.col("deg") == 0, F.lit(1)).otherwise(F.col("deg")).alias("deg")
+            )
+            virt = self.dead_ends().select(
+                F.col("node").alias("src"), F.lit(None).cast("long").alias("dst")
+            )
+            adj = self.edges.unionByName(virt).join(
+                deg_q.withColumnRenamed("node", "src"), "src"
+            ).select("src", "dst", "deg")
+            self._view_cache = (adj.cache(), deg_q.cache())
+        return self._view_cache
 
     # ------------------------------------------------------------------
     # Driver-side export
@@ -159,5 +163,6 @@ class Graph:
         return self.m / self.n
 
     def unpersist(self) -> None:
-        for df in (self.edges, self.nodes, self.degrees):
+        for df in (self.edges, self.nodes, self.degrees, *(self._view_cache or ())):
             df.unpersist()
+        self._view_cache = None

@@ -18,7 +18,7 @@ from repro.core.common import (
     vec_add,
     vec_scale,
 )
-from repro.graphs.generators import figure1_graph
+from repro.graphs.generators import figure1_graph, with_dead_ends
 from repro.oracle import assert_equivalent
 
 
@@ -60,24 +60,29 @@ class TestSparseVectors:
 
 class TestPushKernel:
     def test_push_msgs_matches_oracle_sql(self, spark, fig1):
-        adj, _ = fig1.query_view(0)
-        frontier = spark.createDataFrame([(0, 1.0), (2, 0.5)], "node long, r double")
-        msgs = push_msgs(frontier, adj, alpha=0.2)
-        assert_equivalent(
-            msgs,
-            """
-            SELECT a.dst AS node, SUM(0.8 * f.r / a.deg) AS r
-            FROM frontier f JOIN adj a ON f.node = a.src
-            GROUP BY a.dst
-            """,
-            frontier=frontier,
-            adj=adj,
-        )
+        dead = with_dead_ends(spark, n=30, m=80, n_dead=5, seed=7)
+        d0, d1 = sorted(r["node"] for r in dead.dead_ends().collect())[:2]
+        # figure 1 has no dead end; on the other graph two dead ends push
+        # to the source, and one live node pushes along its edges
+        for g, s, rows in ((fig1, 0, [(0, 1.0), (2, 0.5)]), (dead, 3, [(d0, 1.0), (d1, 0.25), (2, 0.5)])):
+            adj, _ = g.query_view()
+            frontier = spark.createDataFrame(rows, "node long, r double")
+            msgs = push_msgs(frontier, adj, alpha=0.2, s=s)
+            assert_equivalent(
+                msgs,
+                f"""
+                SELECT COALESCE(a.dst, {s}) AS node, SUM(0.8 * f.r / a.deg) AS r
+                FROM frontier f JOIN adj a ON f.node = a.src
+                GROUP BY COALESCE(a.dst, {s})
+                """,
+                frontier=frontier,
+                adj=adj,
+            )
 
     def test_push_msgs_conserves_mass(self, spark, fig1):
-        adj, _ = fig1.query_view(0)
+        adj, _ = fig1.query_view()
         frontier = spark.createDataFrame([(0, 1.0)], "node long, r double")
-        total = push_msgs(frontier, adj, 0.2).agg(F.sum("r")).collect()[0][0]
+        total = push_msgs(frontier, adj, 0.2, 0).agg(F.sum("r")).collect()[0][0]
         assert total == pytest.approx(0.8)
 
 

@@ -1,6 +1,7 @@
 """Tests for the distributed approximate algorithms: MonteCarlo, FORA(+),
 SpeedPPR(+Index) — against the exact ground truth and the Approx-SSPPR
 guarantee (relative error ε on every node with π ≥ μ = 1/n)."""
+import dataclasses
 import math
 
 import numpy as np
@@ -185,6 +186,13 @@ class TestSpeedPPR:
         assert res.stats["algorithm"] == "SpeedPPR-Index"
         assert max_relative_error(est, cl_truth, mu=1.0 / cl.n) <= EPS
         assert est.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_short_index_raises(self, cl, speed_index):
+        """An index holding fewer walks than a query needs (here one per
+        node) raises instead of dropping the missing walks' mass."""
+        short = dataclasses.replace(speed_index, walks=speed_index.walks.where(F.col("walk_idx") <= 1))
+        with pytest.raises(RuntimeError, match="walks needed"):
+            speedppr(cl, 0, eps=EPS, seed=17, index=short)
 
     def test_index_reusable_across_eps(self, cl, cl_truth, speed_index):
         """ε-independence: the same index answers a different ε."""

@@ -6,11 +6,14 @@ engine under them (superstep cap, Spark jobs per superstep).
 Each (algorithm, graph) run is expensive (tens of supersteps), so runs are
 computed once in module-scoped fixtures and shared across assertions.
 """
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import fifo_fwdpush, powerpush, powitr, sim_fwdpush
-from repro.core.common import PI_CHECKPOINT_EVERY
+from repro.core.common import PI_CHECKPOINT_EVERY, PushState
+from repro.core.driver_tail import finish_on_driver
 from repro.core.resacc import resacc
 from repro.graphs.generators import chung_lu, figure1_graph, with_dead_ends
 from repro.linalg import reference
@@ -34,6 +37,20 @@ def deadg(spark):
     return with_dead_ends(spark, n=50, m=160, n_dead=6, seed=13)
 
 
+def count_jobs(spark, group: str, run):
+    """``(run(), number of Spark jobs it started)``, counted in the Spark
+    job group ``group``."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # job ids reach the status store through the listener bus
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 # ---------------------------- shared runs -----------------------------
 @pytest.fixture(scope="module")
 def powitr_fig1(fig1):
@@ -41,8 +58,14 @@ def powitr_fig1(fig1):
 
 
 @pytest.fixture(scope="module")
-def powitr_cl(cl):
-    return powitr(cl, 3, lam=1e-3)
+def powitr_cl_jobs(spark, cl):
+    """The ``powitr_cl`` run and the number of Spark jobs it started."""
+    return count_jobs(spark, "test-powitr-cl", lambda: powitr(cl, 3, lam=1e-3))
+
+
+@pytest.fixture(scope="module")
+def powitr_cl(powitr_cl_jobs):
+    return powitr_cl_jobs[0]
 
 
 @pytest.fixture(scope="module")
@@ -73,16 +96,7 @@ def pp_fig1(fig1):
 @pytest.fixture(scope="module")
 def pp_cl_jobs(spark, cl):
     """The ``pp_cl`` run and the number of Spark jobs it started."""
-    sc = spark.sparkContext
-    group = "test-powerpush-cl"
-    sc.setJobGroup(group, "powerpush on cl")
-    try:
-        res = powerpush(cl, 0, lam=1e-3)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    # job ids reach the status store through the listener bus
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return res, len(sc.statusTracker().getJobIdsForGroup(group))
+    return count_jobs(spark, "test-powerpush-cl", lambda: powerpush(cl, 0, lam=1e-3))
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +128,14 @@ class TestDistributedPowItr:
         res = powitr(deadg, 2, lam=1e-3)
         truth = exact_ppr(deadg.to_csr(), 2, ALPHA)
         assert l1_error(res.pi_vector(deadg.n), truth) <= 1e-3
+
+    def test_dead_end_graph_two_sources(self, deadg):
+        """Back-to-back queries from two sources share the graph's cached
+        view: no source may leak into it."""
+        for s in (5, 17):
+            res = powitr(deadg, s, lam=1e-3)
+            truth = exact_ppr(deadg.to_csr(), s, ALPHA)
+            assert l1_error(res.pi_vector(deadg.n), truth) <= 1e-3
 
     def test_mass_conservation(self, fig1, powitr_fig1):
         total = powitr_fig1.pi_vector(fig1.n).sum() + powitr_fig1.r_vector(fig1.n).sum()
@@ -213,11 +235,31 @@ class TestPushEngine:
     def test_powerpush_job_budget(self, pp_cl_jobs):
         """Two Spark jobs per superstep (its stats action and its residue
         checkpoint), one per π checkpoint, and a fixed number per query:
-        the start vectors (2), the one stats action after each phase and
-        epoch that ends it (1 + epochNum at most), π's final checkpoint
-        (1). A stats action run twice on one residue vector breaks this."""
+        the one stats action after each phase and epoch that ends it
+        (1 + epochNum at most) and π's final checkpoint (1). The start
+        vectors cost none. A stats action run twice on one residue vector
+        breaks this."""
         res, jobs = pp_cl_jobs
         steps = res.stats["supersteps"]
-        fixed = 2 + (1 + 8) + 1
+        fixed = (1 + 8) + 1
         assert steps > 1
         assert jobs <= 2 * steps + steps // PI_CHECKPOINT_EVERY + fixed
+
+    def test_powitr_job_count(self, powitr_cl_jobs):
+        """Exactly one job per residue checkpoint (each superstep), one
+        per π checkpoint (every ``PI_CHECKPOINT_EVERY`` supersteps and the
+        final one) and the ``r_sum`` aggregate: nothing per query else."""
+        res, jobs = powitr_cl_jobs
+        steps = res.stats["supersteps"]
+        assert steps == math.ceil(math.log(1e-3) / math.log(1 - ALPHA))
+        assert jobs == steps + math.ceil(steps / PI_CHECKPOINT_EVERY) + 1
+
+    def test_result_after_driver_finish_starts_no_job(self, spark, cl):
+        """The driver-side finish hands back ``r_sum`` with the vectors,
+        so building the result needs no Spark action."""
+        st = PushState(cl, 0, alpha=ALPHA)
+        st.absorb(finish_on_driver(cl, 0, st.pi, st.r, 1e-3 / cl.m, ALPHA))
+        res, jobs = count_jobs(spark, "test-result-after-finish", lambda: st.result("FIFO-FwdPush"))
+        assert jobs == 0
+        total = res.pi_vector(cl.n).sum() + res.stats["r_sum"]
+        assert total == pytest.approx(1.0, abs=1e-12)

@@ -111,22 +111,25 @@ class TestDeadEnds:
         assert len(dead) == 5
         assert all(degs[v] == 0 for v in dead)
 
-    def test_query_view_adds_virtual_edges(self, spark):
+    def test_view_has_one_null_edge_per_dead_end(self, spark):
         g = with_dead_ends(spark, n=30, m=80, n_dead=5, seed=7)
-        s = 0
-        adj, deg_q = g.query_view(s)
+        adj, deg_q = g.query_view()
         assert adj.count() == g.m + 5
-        virt = adj.where(F.col("deg") == 1).join(
-            g.dead_ends().withColumnRenamed("node", "src"), "src"
-        )
-        assert virt.count() == 5
-        assert all(r["dst"] == s for r in virt.collect())
+        virt = adj.where(F.col("dst").isNull())
+        dead = sorted(r["node"] for r in g.dead_ends().collect())
+        assert sorted((r["src"], r["deg"]) for r in virt.collect()) == [(v, 1) for v in dead]
         # effective degrees: dead ends lifted to 1
         assert deg_q.where(F.col("deg") == 0).count() == 0
 
-    def test_query_view_noop_without_dead_ends(self, fig1):
-        adj, _ = fig1.query_view(0)
+    def test_view_has_no_null_edge_without_dead_ends(self, fig1):
+        adj, _ = fig1.query_view()
         assert adj.count() == fig1.m
+        assert adj.where(F.col("dst").isNull()).count() == 0
+
+    def test_view_is_built_once(self, fig1):
+        adj, deg_q = fig1.query_view()
+        again = fig1.query_view()
+        assert again[0] is adj and again[1] is deg_q
 
 
 class TestCSRExport:
