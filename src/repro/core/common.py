@@ -2,9 +2,11 @@
 the one push-superstep engine.
 
 Vectors over nodes are sparse DataFrames ``(node: long, <col>: double)``;
-zero coordinates are simply absent. One *push superstep* over the
-graph's cached, degree-annotated adjacency ``adj = (src, dst, deg)``
-(:meth:`~repro.graphs.graph.Graph.query_view`) computes
+zero coordinates are simply absent. A push query holds one relation
+``state = (node, r, pi)``. One *push superstep* over it and the graph's
+cached, degree-annotated adjacency ``adj = (src, dst, deg)``
+(:meth:`~repro.graphs.graph.Graph.query_view`) moves ``α·r`` of every
+active node into ``π`` and sends
 
     msgs(dst) = Σ_{(src,dst) ∈ E, src pushed} (1−α) · r(src) / deg(src)
 
@@ -12,10 +14,10 @@ graph's cached, degree-annotated adjacency ``adj = (src, dst, deg)``
 the source. PowItr, SimFwdPush, FIFO-FwdPush, PowerPush and ResAcc all run
 this one :func:`superstep` over a :class:`PushState`; they differ only in
 schedule: the threshold of each phase, the stop rule, and when the sparse
-tail goes to the driver (:mod:`repro.core.driver_tail`). Lineage is
-truncated with eager ``localCheckpoint``: ``r`` every superstep (it feeds
-the next join), ``π`` every :data:`PI_CHECKPOINT_EVERY` supersteps (the
-vectors are small; the edge relation is the big, cached side).
+tail goes to the driver (:mod:`repro.core.driver_tail`). Each new state is
+a lazy ``localCheckpoint``; the superstep's one Spark action, which reads
+the stats the schedule asks for next, materialises it and so cuts the
+lineage.
 """
 from __future__ import annotations
 
@@ -30,9 +32,6 @@ from pyspark.sql import functions as F
 if TYPE_CHECKING:
     from repro.graphs.graph import Graph
 
-#: supersteps between eager checkpoints of π, whose union chain grows by
-#: one ``vec_add`` per superstep
-PI_CHECKPOINT_EVERY = 8
 MAX_SUPERSTEPS = 10_000
 #: the work counters of a run that pushes nothing (plain MonteCarlo)
 NO_PUSHES = {"supersteps": 0, "edge_pushes": 0, "r_sum": 0.0}
@@ -91,28 +90,19 @@ def vec_scale(a: DataFrame, factor: float, col: str) -> DataFrame:
     return a.select("node", (F.col(col) * F.lit(factor)).alias(col))
 
 
-def push_msgs(frontier: DataFrame, adj: DataFrame, alpha: float, s: int) -> DataFrame:
+def push_msgs(frontier: DataFrame, adj: DataFrame, alpha: float, s: int, kept: DataFrame | None = None) -> DataFrame:
     """Messages produced by pushing every node in ``frontier`` (node, r):
     each out-neighbour receives ``(1−α)·r/deg``, and a dead end's virtual
-    edge (``dst`` NULL) sends it to the source ``s``. Returns sparse (node, r)."""
-    return (
-        frontier.join(adj, frontier["node"] == adj["src"])
-        .select(
-            F.coalesce("dst", F.lit(int(s))).alias("node"),
-            ((1.0 - alpha) * F.col("r") / F.col("deg")).alias("r"),
-        )
-        .groupBy("node")
-        .agg(F.sum("r").alias("r"))
+    edge (``dst`` NULL) sends it to the source ``s``. Returns sparse (node, r)
+    summed per node; given ``kept`` rows (node, r, pi), the same ``groupBy``
+    sums them in with the messages (π 0) and returns (node, r, pi)."""
+    msgs = frontier.join(adj, frontier["node"] == adj["src"]).select(
+        F.coalesce("dst", F.lit(int(s))).alias("node"),
+        ((1.0 - alpha) * F.col("r") / F.col("deg")).alias("r"),
+        *([] if kept is None else [F.lit(0.0).alias("pi")]),
     )
-
-
-def materialize(df: DataFrame) -> DataFrame:
-    """Eager localCheckpoint: cuts lineage and caches the (small) vector.
-
-    Vectors hold at most n rows; collapsing to one partition first makes
-    the checkpoint and every downstream join/aggregate a single-task job.
-    """
-    return df.coalesce(1).localCheckpoint(eager=True)
+    rows = msgs if kept is None else kept.unionByName(msgs)
+    return rows.groupBy("node").agg(*(F.sum(c).alias(c) for c in msgs.columns[1:]))
 
 
 def trickle_size(n: int) -> int:
@@ -125,113 +115,122 @@ def trickle_size(n: int) -> int:
 # ----------------------------------------------------------------------
 # The push-superstep engine
 # ----------------------------------------------------------------------
-class PushState:
-    """One query's push state over the graph's shared ``adj``/``deg_q``
-    view: ``r = e_s`` and ``π = 0`` to start with (local relations; no job
-    runs before the first push), and the superstep and edge-push counters.
+STATE_SCHEMA = "node long, r double, pi double"
 
-    Setting ``r`` drops the :func:`frontier_stats` kept for the old vector
-    and the known ``Σ r``.
+
+class PushState:
+    """One query's push state: a single relation ``state = (node, r, pi)``
+    over the graph's shared ``adj``/``deg_q`` view, ``e_s`` to start with (a
+    local relation; once the graph's CSR exists no job runs before the
+    first push), and the superstep and edge-push counters.
+
+    ``thresholds`` (with ``exclude``) name the activity rules whose frontier
+    stats the schedule asks for between supersteps; the one action each
+    superstep ends with reads them with ``Σr`` and ``Σπ``. Setting
+    ``state`` drops the stats kept for the old relation.
     """
 
-    def __init__(self, g: Graph, s: int, *, alpha: float, max_supersteps: int = MAX_SUPERSTEPS) -> None:
+    def __init__(self, g: Graph, s: int, *, alpha: float, thresholds: tuple[float, ...] = (),
+                 exclude: int | None = None, max_supersteps: int = MAX_SUPERSTEPS) -> None:
         self.t0 = time.perf_counter()
         self.g, self.s, self.alpha, self.max_supersteps = g, s, alpha, max_supersteps
         self.adj, self.deg_q = g.query_view()
-        self.r = unit_vec(g.spark, s, "r")
-        self.pi = empty_vec(g.spark, "pi")
-        self.pi_lazy = False  # π holds additions made since its last checkpoint
-        self.supersteps = 0
-        self.edge_pushes = 0
+        self.rules = list(dict.fromkeys((t, exclude) for t in thresholds))
+        self.state = g.spark.createDataFrame([(int(s), 1.0, 0.0)], STATE_SCHEMA)
+        self.sums = (1.0, 0.0)
+        if self.rules:
+            # e_s's stats need only d_s, from the driver's CSR; each rule is
+            # also kept without ``exclude``, for ResAcc's first push of s
+            d_s = g.to_csr().effective_degrees()[s]
+            self.active = {
+                (t, y): (1, int(d_s)) if y != s and 1.0 > d_s * t else (0, 0)
+                for t, x in self.rules
+                for y in (x, None)
+            }
+        self.supersteps = self.edge_pushes = 0
 
     @property
-    def r(self) -> DataFrame:
-        return self._r
+    def state(self) -> DataFrame:
+        return self._state
 
-    @r.setter
-    def r(self, df: DataFrame) -> None:
-        self._r = df
-        self.kept_stats: dict[tuple, tuple[float, int, int]] = {}  # by (threshold, exclude)
-        self.r_sum: float | None = None  # Σ r, once an action or the driver has read it
+    @state.setter
+    def state(self, df: DataFrame) -> None:
+        self._state = df
+        self.sums: tuple[float, float] | None = None  # (Σr, Σπ), once read
+        self.active: dict[tuple, tuple[int, int]] = {}  # rule -> (#active, Σ deg active)
 
-    def absorb(self, tail: tuple[DataFrame, DataFrame, int, float]) -> None:
-        """Take over the ``(π, r, edge_pushes, r_sum)`` a driver-side finish returned."""
-        self.pi, self.r, pushes, r_sum = tail
-        self.r_sum = r_sum
-        self.pi_lazy = False
+    def absorb(self, tail: tuple[DataFrame, np.ndarray, int, np.ndarray]) -> None:
+        """Take over the ``(state, π, edge_pushes, r)`` a driver-side finish
+        returned; ``Σr`` and ``Σπ`` come from the dense vectors, without a job."""
+        self.state, pi, pushes, r = tail
         self.edge_pushes += pushes
+        self.sums = (float(r.sum()), float(pi.sum()))
 
     def result(self, algorithm: str, **extras) -> PPRResult:
-        """Checkpoint π if it is lazy and read ``r_sum`` (one aggregate
-        unless already known)."""
-        if self.pi_lazy:
-            self.pi = materialize(self.pi)
-        r_sum = self.r_sum
-        if r_sum is None:
-            r_sum = float(self.r.groupBy().sum("r").collect()[0][0] or 0.0)
+        """The result's ``π`` and ``r`` are filters over the materialised
+        state; raises if ``|Σπ̂ + Σr − 1| > 1e-9``. The sums are known
+        unless ``state`` was set by hand."""
+        if self.sums is None:
+            read_stats(self, [])
+        r_sum, pi_sum = self.sums
+        if abs(pi_sum + r_sum - 1.0) > 1e-9:
+            raise RuntimeError(f"mass not conserved: Σπ̂ + Σr = {pi_sum + r_sum!r}")
         work = {"supersteps": self.supersteps, "edge_pushes": self.edge_pushes, "r_sum": r_sum}
-        return ppr_result(algorithm, self.t0, self.pi, self.r, work, **extras)
+        pi, r = (self.state.where(F.col(c) > 0.0).select("node", c) for c in ("pi", "r"))
+        return ppr_result(algorithm, self.t0, pi, r, work, pi_sum=pi_sum, **extras)
 
 
 def _is_active(threshold: float, exclude: int | None):
-    """The paper's activity rule ``r(s,v) > d_v · r_max``; ``exclude`` is a
-    node never pushed (ResAcc's source)."""
-    active = F.col("r") > F.col("deg") * F.lit(threshold)
+    """The paper's activity rule ``r(s,v) > d_v · r_max`` (``r > 0`` at
+    threshold 0, which needs no degree); ``exclude`` is a node never pushed
+    (ResAcc's source)."""
+    active = F.col("r") > (F.col("deg") * F.lit(threshold) if threshold else F.lit(0.0))
     return active if exclude is None else active & (F.col("node") != F.lit(int(exclude)))
 
 
+def read_stats(state: PushState, rules: list[tuple]) -> None:
+    """One action over ``state.state``: ``Σr``, ``Σπ`` and, per activity
+    rule ``(threshold, exclude)``, ``(#active nodes, Σ deg over active)``."""
+    df = state.state.join(state.deg_q, "node") if rules else state.state
+    aggs = [F.sum("r"), F.sum("pi")]
+    for rule in rules:
+        active = _is_active(*rule)
+        aggs += [F.sum(F.when(active, 1).otherwise(0)), F.sum(F.when(active, F.col("deg")).otherwise(0))]
+    row = [v or 0 for v in df.agg(*aggs).collect()[0]]
+    state.sums = (float(row[0]), float(row[1]))
+    state.active = {rule: (int(row[2 + 2 * i]), int(row[3 + 2 * i])) for i, rule in enumerate(rules)}
+
+
 def frontier_stats(state: PushState, threshold: float, exclude: int | None = None) -> tuple[float, int, int]:
-    """One action returning ``(r_sum, #active nodes, Σ deg over active)``
-    for the current ``r``; kept until ``r`` changes, so the superstep that
-    follows reuses it."""
-    key = (threshold, exclude)
-    if key not in state.kept_stats:
-        active = _is_active(threshold, exclude)
-        row = (
-            state.r.join(state.deg_q, "node")
-            .agg(
-                F.sum("r").alias("rs"),
-                F.sum(F.when(active, 1).otherwise(0)).alias("na"),
-                F.sum(F.when(active, F.col("deg")).otherwise(0)).alias("da"),
-            )
-            .collect()[0]
-        )
-        state.kept_stats[key] = (float(row["rs"] or 0.0), int(row["na"] or 0), int(row["da"] or 0))
-        state.r_sum = state.kept_stats[key][0]
-    return state.kept_stats[key]
-
-
-def split_active(state: PushState, threshold: float, exclude: int | None = None) -> tuple[DataFrame, DataFrame]:
-    """Partition ``r`` into (active, inactive) lazily."""
-    joined = state.r.join(state.deg_q, "node")
-    active = _is_active(threshold, exclude)
-    return joined.where(active).select("node", "r"), joined.where(~active).select("node", "r")
+    """``(r_sum, #active nodes, Σ deg over active)`` of the current state.
+    The action that ended the last superstep read it if the rule is one of
+    ``state.rules``; else one action reads it together with those."""
+    rule = (threshold, exclude)
+    if rule not in state.active:
+        read_stats(state, list(dict.fromkeys([*state.rules, rule])))
+    return (state.sums[0], *state.active[rule])
 
 
 def superstep(state: PushState, threshold: float = 0.0, exclude: int | None = None) -> None:
-    """Push every active node once: ``π += α·frontier``, ``r ← rest + msgs``.
-
-    At threshold 0 the frontier is the whole support (residues are kept
-    > 0), so there is no split and no ``deg_q`` join. Such a superstep is
-    charged ``Σ deg`` over the support if :func:`frontier_stats` ran for it
-    (SimFwdPush's local accounting), else ``m`` (PowItr's global one).
-    Raises ``RuntimeError`` once ``max_supersteps`` have run.
-    """
+    """Push every active node once: active rows become ``(node, 0, π+α·r)``
+    and :func:`push_msgs` sums the messages into the kept rows. The new
+    state is checkpointed lazily and materialised by the one action,
+    :func:`read_stats`. At threshold 0 (no ``deg_q`` join) the superstep is
+    charged ``Σ deg`` over the support if its stats are known (SimFwdPush),
+    else ``m`` (PowItr). Raises ``RuntimeError`` at ``max_supersteps``."""
     if state.supersteps >= state.max_supersteps:
         raise RuntimeError(f"push superstep limit ({state.max_supersteps}) hit before the stop rule held")
-    alpha = state.alpha
-    if threshold == 0.0 and exclude is None:
-        frontier, rest = state.r, None
-        known = state.kept_stats.get((0.0, None))
-        pushes = known[2] if known else state.g.m
+    if threshold == 0.0 and exclude is None and (0.0, None) not in state.active:
+        pushes = state.g.m
     else:
         pushes = frontier_stats(state, threshold, exclude)[2]
-        frontier, rest = split_active(state, threshold, exclude)
-    state.pi = vec_add(state.pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-    msgs = push_msgs(frontier, state.adj, alpha, state.s)
-    state.r = materialize(msgs if rest is None else vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
+    alpha, active, r, pi = state.alpha, _is_active(threshold, exclude), F.col("r"), F.col("pi")
+    cur = state.state if threshold == 0.0 else state.state.join(state.deg_q, "node")
+    kept = cur.select(
+        "node", F.when(active, 0.0).otherwise(r).alias("r"), F.when(active, pi + alpha * r).otherwise(pi).alias("pi")
+    )
+    new = push_msgs(cur.where(active).select("node", "r"), state.adj, alpha, state.s, kept)
+    state.state = new.coalesce(1).localCheckpoint(eager=False)
     state.supersteps += 1
     state.edge_pushes += pushes
-    state.pi_lazy = state.supersteps % PI_CHECKPOINT_EVERY != 0
-    if not state.pi_lazy:
-        state.pi = materialize(state.pi)
+    read_stats(state, state.rules)

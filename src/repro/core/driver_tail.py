@@ -16,35 +16,29 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.common import _to_dense, empty_vec
+from repro.core.common import STATE_SCHEMA
 from repro.graphs.graph import Graph
 from repro.linalg.reference import fifo_finish
-
-
-def _to_sparse_df(spark, vec: np.ndarray, col: str) -> DataFrame:
-    nz = np.flatnonzero(vec)
-    if nz.size == 0:
-        return empty_vec(spark, col)
-    return spark.createDataFrame(
-        pd.DataFrame({"node": nz.astype("int64"), col: vec[nz]})
-    )
 
 
 def finish_on_driver(
     g: Graph,
     s: int,
-    pi_df: DataFrame,
-    r_df: DataFrame,
+    state: DataFrame,
     r_max: float,
     alpha: float,
     exclude: int | None = None,
-) -> tuple[DataFrame, DataFrame, int, float]:
-    """FIFO-push the state ``(π̂, r)`` until no node is active w.r.t.
-    ``r_max`` (``exclude``: node whose residue accumulates un-pushed —
-    ResAcc's source); returns ``(pi_df, r_df, edge_pushes, r_sum)``, the
-    vectors as fresh sparse DataFrames."""
-    pi = _to_dense(pi_df, g.n, "pi")
-    r = _to_dense(r_df, g.n, "r")
+) -> tuple[DataFrame, np.ndarray, int, np.ndarray]:
+    """FIFO-push the state relation ``(node, r, pi)``, read with one
+    collect, until no node is active w.r.t. ``r_max`` (``exclude``: node
+    whose residue accumulates un-pushed — ResAcc's source); returns
+    ``(state, π, edge_pushes, r)``: the new state as a fresh local relation
+    and its dense vectors."""
+    pdf = state.toPandas()
+    node = pdf["node"].to_numpy(np.int64)
+    pi, r = np.zeros(g.n), np.zeros(g.n)
+    pi[node], r[node] = pdf["pi"].to_numpy(np.float64), pdf["r"].to_numpy(np.float64)
     pi, r, pushes = fifo_finish(g.to_csr(), s, alpha, r_max, pi, r, exclude=exclude)
-    spark = g.spark
-    return _to_sparse_df(spark, pi, "pi"), _to_sparse_df(spark, r, "r"), pushes, float(r.sum())
+    nz = np.flatnonzero((pi != 0.0) | (r != 0.0))
+    out = pd.DataFrame({"node": nz.astype(np.int64), "r": r[nz], "pi": pi[nz]})
+    return g.spark.createDataFrame(out, STATE_SCHEMA), pi, pushes, r

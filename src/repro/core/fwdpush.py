@@ -35,7 +35,7 @@ def fifo_fwdpush(
     """
     if r_max is None:
         r_max = lam / g.m
-    st = PushState(g, s, alpha=alpha, max_supersteps=max_supersteps)
+    st = PushState(g, s, alpha=alpha, thresholds=(r_max,), max_supersteps=max_supersteps)
     lam_target = g.m * r_max  # the Eq. 7 ℓ1 target; past it the frontier
     # is a sparse trickle — Lemma 4.5's O(m) tail, drained on the driver
     while True:
@@ -43,7 +43,7 @@ def fifo_fwdpush(
         if n_active == 0:
             break
         if r_sum <= lam_target:
-            st.absorb(finish_on_driver(g, s, st.pi, st.r, r_max, alpha))
+            st.absorb(finish_on_driver(g, s, st.state, r_max, alpha))
             break
         superstep(st, r_max)
     return st.result("FIFO-FwdPush", r_max=r_max)

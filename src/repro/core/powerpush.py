@@ -53,7 +53,8 @@ def powerpush(
     if scan_threshold is None:
         scan_threshold = max(1, g.n // 4)
     r_max = lam / g.m
-    st = PushState(g, s, alpha=alpha, max_supersteps=max_supersteps)
+    epoch_r_max = [lam ** (i / epoch_num) / g.m for i in range(1, epoch_num + 1)]
+    st = PushState(g, s, alpha=alpha, thresholds=(r_max, *epoch_r_max), max_supersteps=max_supersteps)
 
     # ---- phase 1: queue mode ----
     queue_steps = 0
@@ -67,23 +68,18 @@ def powerpush(
     # ---- phase 2: scan mode with dynamic thresholds ----
     if r_sum > lam:
         trickle = trickle_size(g.n)
-        for i in range(1, epoch_num + 1):
-            r_max_i = lam ** (i / epoch_num) / g.m
+        for r_max_i in epoch_r_max:
             while True:
-                # r_sum does not depend on the threshold: an epoch whose
-                # target the known r_sum already meets needs no action
-                if st.r_sum is not None and st.r_sum <= g.m * r_max_i:
-                    break
                 r_sum, n_active, _ = frontier_stats(st, r_max_i)
                 if r_sum <= g.m * r_max_i or n_active == 0:
                     break
                 if n_active <= trickle:
-                    st.absorb(finish_on_driver(g, s, st.pi, st.r, r_max_i, alpha))
+                    st.absorb(finish_on_driver(g, s, st.state, r_max_i, alpha))
                     break
                 superstep(st, r_max_i)
 
     # ---- phase 3: optional refinement to a no-active state ----
     if refine_r_max is not None:
-        st.absorb(finish_on_driver(g, s, st.pi, st.r, refine_r_max, alpha))
+        st.absorb(finish_on_driver(g, s, st.state, refine_r_max, alpha))
 
     return st.result("PowerPush", queue_supersteps=queue_steps, r_max=r_max)

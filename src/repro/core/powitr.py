@@ -25,9 +25,10 @@ def iterate(
     max_supersteps: int = MAX_SUPERSTEPS,
 ) -> PPRResult:
     """``⌈log λ / log(1−α)⌉`` threshold-0 supersteps. With ``local_pushes``
-    a stats action before each charges ``Σ deg`` over the residue support
-    (SimFwdPush); without it every superstep is charged ``m`` (PowItr)."""
-    st = PushState(g, s, alpha=alpha, max_supersteps=max_supersteps)
+    each superstep's action also reads ``Σ deg`` over the residue support,
+    which the next one is charged (SimFwdPush); without it every superstep
+    is charged ``m`` (PowItr)."""
+    st = PushState(g, s, alpha=alpha, thresholds=(0.0,) if local_pushes else (), max_supersteps=max_supersteps)
     for _ in range(math.ceil(math.log(lam) / math.log(1.0 - alpha))):
         if local_pushes:
             frontier_stats(st, 0.0)

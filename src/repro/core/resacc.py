@@ -53,7 +53,7 @@ def resacc(
     if g.m >= W:
         return monte_carlo(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
     r_max = 1.0 / math.sqrt(g.m * W)
-    st = PushState(g, s, alpha=alpha, max_supersteps=max_supersteps)
+    st = PushState(g, s, alpha=alpha, thresholds=(r_max,), exclude=s, max_supersteps=max_supersteps)
     trickle = trickle_size(g.n)
     exclude = None  # the source's own first push
     while True:
@@ -62,7 +62,7 @@ def resacc(
             break
         if exclude is not None and n_active <= trickle:
             # sparse tail: drain on the driver (source still excluded)
-            st.absorb(finish_on_driver(g, s, st.pi, st.r, r_max, alpha, exclude=s))
+            st.absorb(finish_on_driver(g, s, st.state, r_max, alpha, exclude=s))
             break
         superstep(st, r_max, exclude)
         # from now on the source's residue accumulates instead of being re-pushed

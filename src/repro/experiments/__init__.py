@@ -2,5 +2,5 @@
 
 Each harness is a function ``(spark, …) -> pandas.DataFrame`` printing the
 same row structure the paper reports; ``jobs/`` wraps them for
-``spark-submit`` and ``benchmarks/`` wraps them for pytest-benchmark.
+``spark-submit``.
 """

@@ -9,11 +9,11 @@ from repro.bepi.index import coo_matvec
 from repro.core.common import (
     PPRResult,
     PushState,
+    STATE_SCHEMA,
     empty_vec,
     frontier_stats,
-    materialize,
     push_msgs,
-    split_active,
+    superstep,
     unit_vec,
     vec_add,
     vec_scale,
@@ -44,10 +44,6 @@ class TestSparseVectors:
     def test_vec_scale(self, spark):
         a = spark.createDataFrame([(0, 2.0)], "node long, r double")
         assert vec_scale(a, 0.5, "r").collect()[0]["r"] == 1.0
-
-    def test_materialize_preserves_rows(self, spark):
-        a = spark.createDataFrame([(0, 1.0), (5, 2.0)], "node long, r double")
-        assert sorted(map(tuple, materialize(a).collect())) == [(0, 1.0), (5, 2.0)]
 
     def test_ppr_result_dense_vectors(self, spark):
         res = PPRResult(
@@ -88,29 +84,29 @@ class TestPushKernel:
 
 class TestFrontier:
     @staticmethod
-    def _state(g, r):
+    def _state(spark, g, rows):
         st = PushState(g, 0, alpha=0.2)
-        st.r = r
+        st.state = spark.createDataFrame([(v, r, 0.0) for v, r in rows], STATE_SCHEMA)
         return st
 
-    def test_split_active_rule(self, spark, fig1):
+    def test_active_rule(self, spark, fig1):
         # figure-1 degrees: v1=2, v2=4; with r_max=0.099: 0.3 > 2·0.099
-        # activates v1, 0.3 ≤ 4·0.099 leaves v2 inactive
-        r = spark.createDataFrame([(0, 0.3), (1, 0.3)], "node long, r double")
-        active, inactive = split_active(self._state(fig1, r), 0.099)
-        assert [x["node"] for x in active.collect()] == [0]
-        assert [x["node"] for x in inactive.collect()] == [1]
+        # activates v1, 0.3 ≤ 4·0.099 leaves v2 inactive. A superstep moves
+        # α·r into π of the active rows only.
+        st = self._state(spark, fig1, [(0, 0.3), (1, 0.3)])
+        superstep(st, 0.099)
+        pi = {x["node"]: x["pi"] for x in st.state.collect()}
+        assert [v for v in (0, 1) if pi[v] > 0] == [0]
+        assert [v for v in (0, 1) if pi[v] == 0] == [1]
 
     def test_frontier_stats_matches_split(self, spark, fig1):
-        r = spark.createDataFrame([(0, 0.3), (1, 0.3), (4, 0.01)], "node long, r double")
-        r_sum, n_active, deg_active = frontier_stats(self._state(fig1, r), 0.099)
+        st = self._state(spark, fig1, [(0, 0.3), (1, 0.3), (4, 0.01)])
+        r_sum, n_active, deg_active = frontier_stats(st, 0.099)
         assert r_sum == pytest.approx(0.61)
         assert n_active == 1 and deg_active == 2
 
     def test_frontier_stats_empty(self, spark, fig1):
-        r_sum, n_active, deg_active = frontier_stats(
-            self._state(fig1, empty_vec(spark, "r")), 0.1
-        )
+        r_sum, n_active, deg_active = frontier_stats(self._state(spark, fig1, []), 0.1)
         assert (r_sum, n_active, deg_active) == (0.0, 0, 0)
 
 

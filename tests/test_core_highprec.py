@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import fifo_fwdpush, powerpush, powitr, sim_fwdpush
-from repro.core.common import PI_CHECKPOINT_EVERY, PushState
+from repro.core.common import PushState, superstep
 from repro.core.driver_tail import finish_on_driver
 from repro.core.resacc import resacc
 from repro.graphs.generators import chung_lu, figure1_graph, with_dead_ends
@@ -95,7 +95,9 @@ def pp_fig1(fig1):
 
 @pytest.fixture(scope="module")
 def pp_cl_jobs(spark, cl):
-    """The ``pp_cl`` run and the number of Spark jobs it started."""
+    """The ``pp_cl`` run and the number of Spark jobs it started, once the
+    graph's driver-side CSR exists."""
+    cl.to_csr()
     return count_jobs(spark, "test-powerpush-cl", lambda: powerpush(cl, 0, lam=1e-3))
 
 
@@ -233,33 +235,59 @@ class TestPushEngine:
             run(cl)
 
     def test_powerpush_job_budget(self, pp_cl_jobs):
-        """Two Spark jobs per superstep (its stats action and its residue
-        checkpoint), one per π checkpoint, and a fixed number per query:
-        the one stats action after each phase and epoch that ends it
-        (1 + epochNum at most) and π's final checkpoint (1). The start
-        vectors cost none. A stats action run twice on one residue vector
-        breaks this."""
+        """One Spark job per superstep: its closing action, which
+        materialises the new state and reads every epoch's frontier stats.
+        The start state's stats come from the driver's CSR. This run hands
+        nothing to the driver; a hand-off would add its collect and at most
+        one stats action after it."""
         res, jobs = pp_cl_jobs
         steps = res.stats["supersteps"]
-        fixed = (1 + 8) + 1
         assert steps > 1
-        assert jobs <= 2 * steps + steps // PI_CHECKPOINT_EVERY + fixed
+        assert jobs == steps
 
     def test_powitr_job_count(self, powitr_cl_jobs):
-        """Exactly one job per residue checkpoint (each superstep), one
-        per π checkpoint (every ``PI_CHECKPOINT_EVERY`` supersteps and the
-        final one) and the ``r_sum`` aggregate: nothing per query else."""
+        """Exactly one job per superstep, the action that materialises
+        the new state and reads ``Σr`` and ``Σπ``: nothing per query else."""
         res, jobs = powitr_cl_jobs
         steps = res.stats["supersteps"]
         assert steps == math.ceil(math.log(1e-3) / math.log(1 - ALPHA))
-        assert jobs == steps + math.ceil(steps / PI_CHECKPOINT_EVERY) + 1
+        assert jobs == steps
+
+    def test_checkpoint_cuts_lineage(self, spark, cl):
+        """Each superstep starts one job, which materialises the lazy
+        checkpoint of the new state; a later superstep's job runs no more
+        stages than the second one's, so the plan does not grow."""
+        st = PushState(cl, 3, alpha=ALPHA)
+        tracker = spark.sparkContext.statusTracker()
+        stages = []
+        for j in range(6):
+            _, jobs = count_jobs(spark, f"test-lineage-{j}", lambda: superstep(st))
+            assert jobs == 1
+            plan = st.state._jdf.queryExecution().analyzed()
+            assert plan.nodeName() == "LogicalRDD" and plan.rdd().isCheckpointed()
+            job = tracker.getJobIdsForGroup(f"test-lineage-{j}")[0]
+            ran = [
+                sid for sid in tracker.getJobInfo(job).stageIds
+                if (info := tracker.getStageInfo(sid)) is not None and info.numCompletedTasks > 0
+            ]
+            stages.append(len(ran))
+        assert all(n <= stages[1] for n in stages[2:])
+
+    def test_result_checks_mass(self, cl):
+        """A state whose mass is not 1 is refused when the result returns."""
+        st = PushState(cl, 0, alpha=ALPHA)
+        superstep(st)
+        st.state = st.state.selectExpr("node", "2 * r AS r", "2 * pi AS pi")
+        with pytest.raises(RuntimeError, match="mass not conserved"):
+            st.result("PowItr")
 
     def test_result_after_driver_finish_starts_no_job(self, spark, cl):
-        """The driver-side finish hands back ``r_sum`` with the vectors,
-        so building the result needs no Spark action."""
+        """The driver-side finish hands back the dense vectors with the
+        state, so building the result needs no Spark action."""
         st = PushState(cl, 0, alpha=ALPHA)
-        st.absorb(finish_on_driver(cl, 0, st.pi, st.r, 1e-3 / cl.m, ALPHA))
+        st.absorb(finish_on_driver(cl, 0, st.state, 1e-3 / cl.m, ALPHA))
         res, jobs = count_jobs(spark, "test-result-after-finish", lambda: st.result("FIFO-FwdPush"))
         assert jobs == 0
+        assert res.stats["pi_sum"] + res.stats["r_sum"] == pytest.approx(1.0, abs=1e-12)
         total = res.pi_vector(cl.n).sum() + res.stats["r_sum"]
         assert total == pytest.approx(1.0, abs=1e-12)
